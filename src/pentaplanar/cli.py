@@ -156,7 +156,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not a text file ({exc.reason})") from None
     return parse_graph_text(text, fmt)
 
 
@@ -201,17 +208,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise GraphError(
+            f"--n must be an integer or a range like 5..12, got {text!r}"
+        ) from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n)
     cap = 14 if args.allow_big else 12
-    if not ns or min(ns) < 5 or max(ns) > cap:
+    if not ns or ns[0] < 5 or ns[-1] > cap:
         raise GraphError(
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else " (use --allow-big for 13..14)")

@@ -259,7 +259,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(GRAPH6_HEADER) :].strip()
     if not s:
         raise GraphError("empty graph6 string")
-    data = s.encode("ascii")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError:
+        raise GraphError(f"non-ASCII character in graph6 string {s!r}") from None
     if any(b < 63 or b > 126 for b in data):
         raise GraphError(f"invalid graph6 byte in {s!r}")
     n, pos = _decode_g6_size(data)
@@ -321,7 +324,7 @@ def parse_edge_list_text(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise GraphError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_fields(head, lines[0])
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []
@@ -329,11 +332,18 @@ def parse_edge_list_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"malformed edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _int_fields(parts, ln)
         if u == v:
             raise GraphError(f"self-loop in edge line {ln!r}")
         edges.append((min(u, v), max(u, v)))
     return Graph(n, edges)
+
+
+def _int_fields(fields: list[str], line: str) -> tuple[int, int]:
+    try:
+        return int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphError(f"expected two integers, got {line!r}") from None
 
 
 def parse_graph_text(text: str, fmt: str = "auto") -> Graph:

@@ -17,16 +17,11 @@ from dataclasses import dataclass, field
 
 from . import kernels
 from .canon import canonical_form
-from .counting import (
-    apex_exists,
-    count_cycles,
-    count_face_paths3,
-    g_formula,
-)
-from .embeddings import Embedding, is_triangulation, planar_embed, triangular_faces
+from .counting import count_cycles, g_formula
+from .embeddings import Embedding, planar_embed, triangular_faces
 from .enumeration import corpus
 from .families import build_A, build_D
-from .graphs import Graph, common_neighbors, induced_subgraph, is_path_forest
+from .graphs import Graph, _bits
 
 SCHEMA_VERSION = 1
 
@@ -191,25 +186,59 @@ def verify_theorem(
 
 def verify_lemma1(graphs) -> LemmaStats:
     """Common neighborhoods of edges in planar graphs are path forests, and
-    the closed neighborhood triangulates iff the forest is one path."""
+    the closed neighborhood triangulates iff the forest is one path.
+
+    Works on adjacency bitmasks and embeds nothing.  For an edge uv let F be
+    the subgraph induced on common = N(u) & N(v).  F is a path forest iff
+    every vertex has at most two neighbors inside common and F is acyclic,
+    i.e. |F| - e(F) equals its number of components.  Only then is the
+    closed set {u, v} + common examined; it induces the join K2 + F, with
+    k = |F| + 2 vertices and m = e(F) + 2|F| + 1 edges.  K2 + F is a
+    subgraph of K2 + P_|F|, which is planar, and it is connected, so it
+    is a triangulation iff k >= 3 and m = 3k - 6 (on a connected simple
+    planar graph with k >= 3 every face has length >= 3, and Euler's
+    formula makes 2m = 3f equivalent to m = 3k - 6).  That holds whether or
+    not the host graph is planar.
+    """
     stats = LemmaStats()
     for g in graphs:
+        rows = g.bitrows
         for u, v in g.edges():
-            common = common_neighbors(g, u, v)
-            sub, _ = induced_subgraph(g, common)
-            pf = is_path_forest(sub)
-            if not pf.ok:
+            common = rows[u] & rows[v]
+            shape = _path_forest_shape(rows, common)
+            if shape is None:
                 stats.record(False, note=f"n={g.n} edge=({u},{v}): not a path forest")
                 continue
-            closed, _ = induced_subgraph(g, set(common) | {u, v})
-            emb = planar_embed(closed)
-            tri = isinstance(emb, Embedding) and is_triangulation(emb)
+            f_edges, components = shape
+            size = common.bit_count()
+            single_path = components == 1
+            k = size + 2
+            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
+            ok = tri == single_path
             stats.record(
-                tri == pf.single_path,
-                note=f"n={g.n} edge=({u},{v}): triangulation={tri} "
-                f"single_path={pf.single_path}",
+                ok,
+                note=None if ok else f"n={g.n} edge=({u},{v}): "
+                f"triangulation={tri} single_path={single_path}",
             )
     return stats
+
+
+def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
+    """(edges, components) of the subgraph induced on `mask`, or None when
+    it is not a path forest (a vertex of degree > 2, or a cycle)."""
+    degree_sum = 0
+    for w in _bits(mask):
+        d = (rows[w] & mask).bit_count()
+        if d > 2:
+            return None
+        degree_sum += d
+    edges = degree_sum // 2
+    components = 0
+    rest = mask
+    while rest:
+        rest &= ~_flood(rows, rest & -rest, rest)
+        components += 1
+    return (edges, components) if mask.bit_count() - edges == components else None
 
 
 def verify_lemma2(graphs) -> LemmaStats:
@@ -233,22 +262,28 @@ def verify_lemma2(graphs) -> LemmaStats:
 
 def verify_lemma3(embeddings) -> LemmaStats:
     """Per triangular face: at most 4(k-1) length-3 paths with endpoints in
-    the face, and at most 4k-9 when no vertex is adjacent to all of it."""
+    the face, and at most 4k-9 when no vertex is adjacent to all of it.
+
+    The face count is the sum of the per-edge length-3 path counts over the
+    face's three edges, taken from one `paths3_per_edge` pass per graph.
+    """
     stats = LemmaStats()
     for emb in embeddings:
         g = emb.graph
         k = g.n
         if k < 4:
             continue
+        rows = g.bitrows
+        paths = dict(zip(g.edges(), kernels.paths3_per_edge(rows, k)))
         for face in triangular_faces(emb):
-            cnt = count_face_paths3(g, face.boundary)
-            bound = 4 * (k - 1)
-            if not apex_exists(g, face.boundary):
-                bound = 4 * k - 9
+            a, b, c = sorted(face.boundary)
+            cnt = paths[(a, b)] + paths[(b, c)] + paths[(a, c)]
+            bound = 4 * (k - 1) if rows[a] & rows[b] & rows[c] else 4 * k - 9
+            ok = cnt <= bound
             stats.record(
-                cnt <= bound,
+                ok,
                 slack=bound - cnt,
-                note=f"n={k} face={face.boundary} paths={cnt} > {bound}",
+                note=None if ok else f"n={k} face={face.boundary} paths={cnt} > {bound}",
             )
     return stats
 
@@ -303,22 +338,20 @@ def edge_deleted_variants(
 
 
 def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    stack = [0]
-    mask = 1
-    while stack:
-        v = stack.pop()
-        new = g.bitrows[v] & ~mask
-        while new:
-            low = new & -new
-            w = low.bit_length() - 1
-            mask |= low
-            seen += 1
-            stack.append(w)
-            new ^= low
-    return seen == g.n
+    full = (1 << g.n) - 1
+    return g.n == 0 or _flood(g.bitrows, 1, full) == full
+
+
+def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
+    """The vertices of `within` reachable from the `seed` mask inside it."""
+    reached = frontier = seed
+    while frontier:
+        grow = 0
+        for w in _bits(frontier):
+            grow |= rows[w]
+        frontier = grow & within & ~reached
+        reached |= frontier
+    return reached
 
 
 @dataclass

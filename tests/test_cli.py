@@ -183,3 +183,30 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "6")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys):
+    for text in ("2 1\n0 x\n", "x 1\n0 1\n", "2 1\n0 ²\n"):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, _, err = run(capsys, "count", str(f))
+        assert code == 2 and err.startswith("error:"), text
+
+
+def test_non_ascii_graph6_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "bad.g6"
+    f.write_text("Dé\n", encoding="utf-8")
+    code, _, err = run(capsys, "count", str(f))
+    assert code == 2 and err.startswith("error:")
+    f.write_bytes(b"\xff\xfe\n")
+    code, _, err = run(capsys, "count", str(f))
+    assert code == 2 and err.startswith("error:")
+
+
+def test_verify_malformed_range_is_a_usage_error(capsys):
+    for text in ("5..x", "5..", "x", ""):
+        code, _, err = run(capsys, "verify", "--n", text)
+        assert code == 2 and err.startswith("error:"), text
+    # the range is checked before it is materialised
+    code, _, err = run(capsys, "verify", "--n", f"5..{10 ** 12}")
+    assert code == 2 and "5..12" in err

@@ -1,13 +1,27 @@
 import json
+import random
 
 import pytest
 
-from pentaplanar.counting import count_cycles
-from pentaplanar.embeddings import Embedding, planar_embed
+from pentaplanar.counting import apex_exists, count_cycles, count_face_paths3
+from pentaplanar.embeddings import (
+    Embedding,
+    is_triangulation,
+    planar_embed,
+    triangular_faces,
+)
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import build_D
-from pentaplanar.graphs import Graph, common_neighbors, complete_graph, induced_subgraph, is_path_forest
+from pentaplanar.graphs import (
+    Graph,
+    common_neighbors,
+    complete_bipartite,
+    complete_graph,
+    induced_subgraph,
+    is_path_forest,
+)
 from pentaplanar.verification import (
+    LemmaStats,
     edge_deleted_variants,
     expected_family_labels,
     expected_max_c5,
@@ -173,3 +187,94 @@ def test_max_count_steps_match_quadratic():
 def test_n9_corpus_contains_the_79_and_80_classes():
     counts = sorted(count_cycles(e.graph, 5) for e in corpus(9))
     assert 79 in counts and 80 in counts
+
+
+# ---------------------------------------------------------------------------
+# Reference routes for the bitmask lemma sweeps
+# ---------------------------------------------------------------------------
+
+
+def _lemma1_reference(graphs) -> LemmaStats:
+    """Lemma 1 per edge from explicit subgraphs and a planarity embedding."""
+    stats = LemmaStats()
+    for g in graphs:
+        for u, v in g.edges():
+            common = common_neighbors(g, u, v)
+            sub, _ = induced_subgraph(g, common)
+            pf = is_path_forest(sub)
+            if not pf.ok:
+                stats.record(False, note=f"n={g.n} edge=({u},{v}): not a path forest")
+                continue
+            closed, _ = induced_subgraph(g, set(common) | {u, v})
+            emb = planar_embed(closed)
+            tri = isinstance(emb, Embedding) and is_triangulation(emb)
+            stats.record(
+                tri == pf.single_path,
+                note=f"n={g.n} edge=({u},{v}): triangulation={tri} "
+                f"single_path={pf.single_path}",
+            )
+    return stats
+
+
+def _lemma3_reference(embeddings) -> LemmaStats:
+    """Lemma 3 per face from pairwise path counts and the apex test."""
+    stats = LemmaStats()
+    for emb in embeddings:
+        g = emb.graph
+        k = g.n
+        if k < 4:
+            continue
+        for face in triangular_faces(emb):
+            cnt = count_face_paths3(g, face.boundary)
+            bound = 4 * (k - 1) if apex_exists(g, face.boundary) else 4 * k - 9
+            stats.record(
+                cnt <= bound,
+                slack=bound - cnt,
+                note=f"n={k} face={face.boundary} paths={cnt} > {bound}",
+            )
+    return stats
+
+
+def _random_graphs(count: int, seed: int) -> list[Graph]:
+    """G(n, p) with n in 2..11 and p uniform, most of them non-planar."""
+    rng = random.Random(seed)
+    out = [complete_graph(5), complete_graph(6), complete_bipartite(3, 3)]
+    while len(out) < count:
+        n = rng.randint(2, 11)
+        p = rng.random()
+        out.append(
+            Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < p])
+        )
+    return out
+
+
+def _embedded(graphs) -> list[Embedding]:
+    embs = [planar_embed(g) for g in graphs]
+    return [e for e in embs if isinstance(e, Embedding)]
+
+
+def test_lemma1_matches_embedding_reference():
+    corpus_graphs = [e.graph for n in range(4, 11) for e in corpus(n)]
+    variants = edge_deleted_variants(200, seed=23)
+    random_graphs = _random_graphs(300, seed=29)
+    for graphs in (corpus_graphs, variants, random_graphs):
+        assert verify_lemma1(graphs).to_json_dict() == (
+            _lemma1_reference(graphs).to_json_dict()
+        )
+    # the random set reaches the violation branches, notes included
+    stats = verify_lemma1(random_graphs)
+    assert stats.violations > 0 and stats.examples
+    assert verify_lemma1([complete_graph(6)]).examples[0].endswith(
+        "not a path forest"
+    )
+
+
+def test_lemma3_matches_pairwise_reference():
+    corpus_embs = [e for n in range(4, 10) for e in corpus(n)]
+    variants = _embedded(edge_deleted_variants(200, seed=23))
+    planar_random = _embedded(_random_graphs(300, seed=29))
+    for embs in (corpus_embs, variants, planar_random):
+        assert verify_lemma3(embs).to_json_dict() == (
+            _lemma3_reference(embs).to_json_dict()
+        )
