@@ -87,12 +87,21 @@ def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
 
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """Canonical flat code of a connected rotation system.
+    """Canonical flat code of a connected simple rotation system.
 
     Minimum, over every directed starting edge whose tail has minimum degree
     and both reading directions, of the breadth-first relabeling code.  Two
     sphere embeddings of 3-connected planar graphs get equal codes iff the
     graphs are isomorphic (rotation systems are unique up to reflection).
+
+    Two rules skip work without changing the minimum:
+      * every code from a start edge (su, sv) opens with the block
+        (dmin, 1, 2, ..., dmin) of su, so its entry dmin + 1 is deg(sv);
+        start edges whose sv does not have the least degree among all
+        candidate heads cannot give the minimum and are not read at all;
+      * each code is compared with the running best block by block while
+        it is built, and abandoned as soon as it is larger (early abort).
+        A code that ties the best is dropped as well.
     """
     if n == 0:
         return ()
@@ -100,23 +109,31 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, .
         return (0,)
     degs = [len(r) for r in rot]
     dmin = min(degs)
-    best: tuple[int, ...] | None = None
-    for u in range(n):
-        if degs[u] != dmin:
-            continue
-        for v in rot[u]:
-            for rev in (False, True):
-                code = _bfs_code(rot, n, u, v, rev)
-                if best is None or code < best:
-                    best = code
-    if best is None:
+    starts = [(u, v) for u in range(n) if degs[u] == dmin for v in rot[u]]
+    if not starts:
         raise ValueError("embedding code requires a connected graph")
-    return best
+    dsv = min(degs[v] for _, v in starts)
+    best: list[int] | None = None
+    for u, v in starts:
+        if degs[v] != dsv:
+            continue
+        for rev in (False, True):
+            code = _bfs_code(rot, n, u, v, rev, best)
+            if code is not None:
+                best = code
+    return tuple(best)
 
 
 def _bfs_code(
-    rot: tuple[tuple[int, ...], ...], n: int, su: int, sv: int, rev: bool
-) -> tuple[int, ...]:
+    rot: tuple[tuple[int, ...], ...],
+    n: int,
+    su: int,
+    sv: int,
+    rev: bool,
+    best: list[int] | None,
+) -> list[int] | None:
+    """The relabeling code from start edge (su, sv), or None as soon as it
+    is certain not to be smaller than `best`."""
     lab = [-1] * n
     lab[su], lab[sv] = 0, 1
     order = [su, sv]
@@ -124,14 +141,13 @@ def _bfs_code(
     entry[su], entry[sv] = sv, su
     nxt = 2
     code: list[int] = []
-    step = -1 if rev else 1
+    tie = best is not None
     for x in order:
         r = rot[x]
-        d = len(r)
         pos = r.index(entry[x])
-        code.append(d)
-        for k in range(d):
-            w = r[(pos + step * k) % d]
+        start = len(code)
+        code.append(len(r))
+        for w in (r[pos::-1] + r[:pos:-1]) if rev else (r[pos:] + r[:pos]):
             lw = lab[w]
             if lw < 0:
                 lab[w] = lw = nxt
@@ -139,6 +155,12 @@ def _bfs_code(
                 order.append(w)
                 entry[w] = x
             code.append(lw)
+        if tie:
+            mine, theirs = code[start:], best[start : len(code)]
+            if mine != theirs:
+                if mine > theirs:
+                    return None
+                tie = False
     if nxt != n:
         raise ValueError("embedding code requires a connected graph")
-    return tuple(code)
+    return None if tie else code

@@ -9,6 +9,26 @@ reaches every isomorphism class; duplicates are rejected through the
 canonical embedding code (rotation systems of triangulations are unique up
 to relabeling and reflection, which the code minimizes over).
 
+Most children are rejected before their code is computed (the cheap half of
+McKay's canonical construction path).  Call an edge contractible when its
+endpoints have exactly two common neighbours, i.e. it lies in no separating
+triangle, and let f(x, y) = (min, max) of the endpoint degrees.  A child is
+kept only if no contractible edge has a smaller f than its new edge
+(v, new).  No class is lost:
+  * every triangulation C on >= 5 vertices has a contractible edge; take
+    one, e* = xy, with the smallest f;
+  * contracting e* gives a triangulation P on one vertex fewer, whose class
+    is in the previous level;
+  * in that level's representative of P, the merged vertex sees the two
+    common neighbours of x and y at some positions i < j, and its split at
+    (i, j) rebuilds C, up to reflection, with e* as the new edge (f does not
+    care which endpoint of e* becomes v);
+  * f and contractibility are isomorphism invariants, so that child passes.
+The new edge is itself contractible (its common neighbours are exactly the
+arc endpoints), so the strict comparison never rejects it against itself;
+ties between equally small edges keep several children of one class, which
+the code set merges.
+
 Correctness is defined by oracle equivalence: `bruteforce_triangulations`
 re-derives the small levels by filtering every graph with 3n - 6 edges for
 planarity and all-triangle faces, with no shared machinery.
@@ -26,7 +46,7 @@ from typing import Callable, Iterable
 from . import kernels
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
-from .graphs import Graph, GraphError, to_graph6
+from .graphs import Graph, GraphError, _bits, to_graph6
 
 SCHEMA_VERSION = 1
 
@@ -114,17 +134,62 @@ def split_vertex(
     return tuple(out)
 
 
+def _new_edge_is_minimal(
+    rows: list[int], degs: list[int], v: int, rot_v: tuple[int, ...], i: int, j: int
+) -> bool:
+    """Canonical-edge filter for the split of v at positions i < j.
+
+    True iff no contractible edge of the child has a smaller f than the new
+    edge (v, new), where f(x, y) = (min, max) of the endpoint degrees.  Works
+    on the parent's adjacency bitmasks `rows` and degrees `degs`, patched to
+    the child's, so the child's rotation system is built only if it passes.
+    """
+    n = len(rows)
+    bit_v, bit_new = 1 << v, 1 << n
+    wi, wj = rot_v[i], rot_v[j]
+    keep = 0
+    for w in rot_v[i : j + 1]:
+        keep |= 1 << w
+    inner = rows[v] ^ keep  # neighbours of v strictly inside the moving arc
+    crows = rows + [inner | (1 << wi) | (1 << wj) | bit_v]
+    crows[v] = keep | bit_new
+    crows[wi] |= bit_new
+    crows[wj] |= bit_new
+    for w in _bits(inner):
+        crows[w] ^= bit_v | bit_new
+    d = len(rot_v)
+    dv, dn = j - i + 2, d - j + i + 2
+    cdegs = degs + [dn]
+    cdegs[v] = dv
+    cdegs[wi] += 1
+    cdegs[wj] += 1
+    a, b = (dv, dn) if dv <= dn else (dn, dv)
+    for x, dx in enumerate(cdegs):
+        if dx > a:
+            continue
+        rx = crows[x]
+        for y in _bits(rx):
+            dy = cdegs[y]
+            lo, hi = (dx, dy) if dx <= dy else (dy, dx)
+            if (lo < a or (lo == a and hi < b)) and (rx & crows[y]).bit_count() == 2:
+                return False
+    return True
+
+
 def _expand_batch(
     batch: list[tuple[tuple[int, ...], ...]],
 ) -> set[tuple[int, ...]]:
-    """All child canonical codes of a batch of parent rotation systems."""
-    child_n = len(batch[0]) + 1 if batch else 0
+    """Canonical codes of the children of a batch of parent rotation systems,
+    restricted to the children whose new edge passes the canonical-edge
+    filter (`_new_edge_is_minimal`)."""
     codes: set[tuple[int, ...]] = set()
     for rotations in batch:
+        child_n = len(rotations) + 1
+        degs = [len(r) for r in rotations]
+        rows = [sum(1 << w for w in r) for r in rotations]
         for v, rot_v in enumerate(rotations):
-            d = len(rot_v)
-            for i in range(d):
-                for j in range(i + 1, d):
+            for i, j in combinations(range(degs[v]), 2):
+                if _new_edge_is_minimal(rows, degs, v, rot_v, i, j):
                     child = split_vertex(rotations, v, i, j)
                     codes.add(kernels.embedding_min_code(child, child_n))
     return codes

@@ -285,12 +285,16 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
+# largest n the 4-byte graph6 size prefix can state; also the edge-list cap
+G6_MAX_N = 258047
+
+
 def _encode_g6_size(n: int) -> bytearray:
     if n < 0:
         raise GraphError("negative vertex count")
     if n <= 62:
         return bytearray([n + 63])
-    if n <= 258047:
+    if n <= G6_MAX_N:
         return bytearray(
             [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
         )
@@ -325,6 +329,8 @@ def parse_edge_list_text(text: str) -> Graph:
     if len(head) != 2:
         raise GraphError(f"expected 'n m' header, got {lines[0]!r}")
     n, m = _int_fields(head, lines[0])
+    if n > G6_MAX_N:
+        raise GraphError(f"edge-list header states n={n}, above the limit {G6_MAX_N}")
     if len(lines) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(lines) - 1}")
     edges = []

@@ -3,7 +3,8 @@
 The compiled extension (`_fastkern`, Cython) is used when it was built and
 the graph fits in 64-bit rows; otherwise the pure-Python twin (`_purekern`)
 takes over.  Setting PENTAPLANAR_KERNEL=pure forces the fallback, which is
-how the benchmark and the parity tests exercise both sides.
+how the benchmark and the parity tests exercise both sides.  The backend is
+chosen once, when this module is imported.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ except ImportError:
 _FAST_MAX_N = 64
 _FAST_MAX_FLAT = 512
 
-
-def _force_pure() -> bool:
-    return os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure"
+_fast = None if os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure" else _fastkern
 
 
 def compiled_available() -> bool:
@@ -30,7 +29,7 @@ def compiled_available() -> bool:
 
 
 def backend_name() -> str:
-    return "pure" if (_fastkern is None or _force_pure()) else "compiled"
+    return "pure" if _fast is None else "compiled"
 
 
 def backends() -> dict[str, object]:
@@ -42,9 +41,7 @@ def backends() -> dict[str, object]:
 
 
 def _pick(n: int):
-    if _fastkern is None or _force_pure() or n > _FAST_MAX_N:
-        return _purekern
-    return _fastkern
+    return _purekern if _fast is None or n > _FAST_MAX_N else _fast
 
 
 def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
@@ -64,7 +61,6 @@ def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
 
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    mod = _pick(n)
-    if mod is not _purekern and sum(len(r) for r in rot) > _FAST_MAX_FLAT:
-        mod = _purekern
-    return mod.embedding_min_code(rot, n)
+    if _fast is not None and n <= _FAST_MAX_N and sum(map(len, rot)) <= _FAST_MAX_FLAT:
+        return _fast.embedding_min_code(rot, n)
+    return _purekern.embedding_min_code(rot, n)

@@ -27,6 +27,7 @@ from pentaplanar.enumeration import (
     code_to_embedding,
     corpus,
     enumerate_triangulations,
+    _digest,
     _level_codes,
 )
 from pentaplanar.families import (
@@ -37,7 +38,7 @@ from pentaplanar.families import (
     build_E,
     build_exceptional,
 )
-from pentaplanar.graphs import Graph
+from pentaplanar.graphs import Graph, to_graph6
 from pentaplanar.verification import (
     edge_deleted_variants,
     verify_lemma1,
@@ -300,19 +301,19 @@ def test_criterion_7_neighborhood_cycles():
 
 
 def _fresh_digest(n: int, workers: int) -> str:
-    level = [code_to_embedding(base_level_code()).rotations]
+    """Digest of level n built from K4 here, bypassing the level cache."""
+    level = [code_to_embedding(base_level_code())]
     for _ in range(4, n):
-        codes = _level_codes(level, workers)
-        level = [code_to_embedding(c).rotations for c in codes]
-    cert = enumerate_triangulations(n, workers=workers)
-    return cert.digest
+        codes = _level_codes([e.rotations for e in level], workers)
+        level = [code_to_embedding(c) for c in codes]
+    return _digest(sorted(to_graph6(e.graph) for e in level))
 
 
 def test_criterion_8_worker_determinism():
     t0 = time.perf_counter()
     d1 = _fresh_digest(10, workers=1)
     d8 = _fresh_digest(10, workers=8)
-    assert d1 == d8
+    assert d1 == d8 == enumerate_triangulations(10).digest
     c1 = verify_theorem(9, workers=1).to_json_dict()
     c8 = verify_theorem(9, workers=8).to_json_dict()
     assert c1 == c8

@@ -186,7 +186,9 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys):
-    for text in ("2 1\n0 x\n", "x 1\n0 1\n", "2 1\n0 ²\n"):
+    # a header n above the graph6 limit is refused before any allocation
+    for text in ("2 1\n0 x\n", "x 1\n0 1\n", "2 1\n0 ²\n", "258048 0\n",
+                 "100000000000 0\n"):
         f = tmp_path / "bad.txt"
         f.write_text(text)
         code, _, err = run(capsys, "count", str(f))

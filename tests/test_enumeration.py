@@ -4,7 +4,11 @@ import pytest
 
 from pentaplanar.canon import canonical_form
 from pentaplanar.embeddings import is_triangulation
+from pentaplanar import kernels
 from pentaplanar.enumeration import (
+    _expand_batch,
+    _level_codes,
+    _new_edge_is_minimal,
     bruteforce_triangulations,
     canonical_code,
     code_to_embedding,
@@ -17,6 +21,21 @@ from pentaplanar.graphs import GraphError, parse_graph6
 
 # published class counts of planar triangulations (simplicial polyhedra)
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
+
+# sha256 of the sorted graph6 dump of each level, pinned when the generator
+# first produced it; any change to enumeration or canonical labeling that
+# alters a class or its graph6 line shows up here
+KNOWN_DIGESTS = {
+    4: "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b",
+    5: "222ae4b460c1d619522d6d14ff4931ae24d12f2357493d61d27365bc7dc8432e",
+    6: "3e3c014200950841e151c2adfea66db28a1911475ba27f0fc947f9d77c8b802d",
+    7: "7614cba98077385e3f41ba926a468f2213460aef9ac9c7dc292289bcd1e64a23",
+    8: "bb4fd06c03debbf43ccf17f58eb1ce31a0c7962557427bbf6f7ab82831e42a1b",
+    9: "0eb122596adc53c6a0173bd77cda9036517a1e964c9296774463a705a7c9869c",
+    10: "34a7a333f363a4db6e0a85c5b19cde56e82c5ed76dcd652883dd629c390a6f06",
+    11: "e32eaa39df13ccddbf5a329a5254bd0388f7a97638785eba2e797683014b4064",
+    12: "6bace6f651a1c6c4b7ca95c61b87b6a42e399619df2e995319ebfaf0740a41e2",
+}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
@@ -106,10 +125,73 @@ def test_visitor_called_once_per_class():
 
 
 def test_determinism_across_runs_and_workers():
-    base = enumerate_triangulations(8, workers=1)
-    again = enumerate_triangulations(8, workers=1)
-    pooled = enumerate_triangulations(8, workers=4)
+    # fresh level builds, not the process-lifetime level cache
+    parents = [e.rotations for e in corpus(9)]
+    base = _level_codes(parents, 1)
+    again = _level_codes(parents, 1)
+    pooled = _level_codes(parents, 4)
     assert base == again == pooled
+    assert base == [canonical_code(e) for e in corpus(10)]
+
+
+@pytest.mark.parametrize("n", sorted(KNOWN_DIGESTS))
+def test_corpus_digests_are_pinned(n):
+    cert = enumerate_triangulations(n)
+    assert (cert.count, cert.digest) == (KNOWN_COUNTS[n], KNOWN_DIGESTS[n])
+
+
+def _splits(rotations):
+    for v, rot_v in enumerate(rotations):
+        for i in range(len(rot_v)):
+            for j in range(i + 1, len(rot_v)):
+                yield v, i, j
+
+
+def _expand_batch_unfiltered(batch):
+    """Reference: the canonical codes of every child, with no child filter."""
+    codes = set()
+    for rotations in batch:
+        for v, i, j in _splits(rotations):
+            child = split_vertex(rotations, v, i, j)
+            codes.add(kernels.embedding_min_code(child, len(child)))
+    return codes
+
+
+def test_child_filter_loses_no_class():
+    for n in range(4, 11):
+        parents = [e.rotations for e in corpus(n)]
+        assert _expand_batch(parents) == _expand_batch_unfiltered(parents), n
+
+
+def _new_edge_is_minimal_reference(child, v):
+    """Reference filter, read off the child itself: no contractible edge has
+    a smaller (min, max) endpoint degree pair than the new edge (v, new)."""
+    rows = [sum(1 << w for w in r) for r in child]
+
+    def f(x, y):
+        return sorted((len(child[x]), len(child[y])))
+
+    new_f = f(v, len(child) - 1)
+    return not any(
+        (rows[x] & rows[y]).bit_count() == 2 and f(x, y) < new_f
+        for x in range(len(child))
+        for y in child[x]
+    )
+
+
+def test_child_filter_matches_reference_and_rejects_most_children():
+    kept = total = 0
+    for parent in corpus(10):
+        rot = parent.rotations
+        degs = [len(r) for r in rot]
+        rows = [sum(1 << w for w in r) for r in rot]
+        for v, i, j in _splits(rot):
+            keep = _new_edge_is_minimal(rows, degs, v, rot[v], i, j)
+            assert keep == _new_edge_is_minimal_reference(split_vertex(rot, v, i, j), v)
+            total += 1
+            kept += keep
+    assert total == 23857
+    assert kept < 0.2 * total
 
 
 def test_range_checks():

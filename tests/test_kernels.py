@@ -1,15 +1,19 @@
 """Backend parity: the compiled extension and the pure-Python fallback must
-be indistinguishable on every kernel."""
+be indistinguishable on every kernel.  The pure canonical embedding code is
+also checked against a full-minimum reference that has neither early abort
+nor start-edge pruning."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 
 from pentaplanar import kernels
-from pentaplanar.enumeration import corpus
+from pentaplanar.enumeration import corpus, split_vertex
 
 from .conftest import graphs
 
-pytestmark = pytest.mark.skipif(
+needs_compiled = pytest.mark.skipif(
     not kernels.compiled_available(), reason="compiled kernel not built"
 )
 
@@ -20,6 +24,7 @@ def fast():
     return kernels._fastkern
 
 
+@needs_compiled
 @given(graphs(max_n=13))
 def test_cycle_counts_parity(g):
     assert pure.cycle_counts(g.bitrows, g.n) == tuple(
@@ -27,6 +32,7 @@ def test_cycle_counts_parity(g):
     )
 
 
+@needs_compiled
 @given(graphs(max_n=13))
 def test_per_edge_parity(g):
     assert pure.c5_per_edge(g.bitrows, g.n) == [
@@ -37,6 +43,7 @@ def test_per_edge_parity(g):
     ]
 
 
+@needs_compiled
 @given(graphs(min_n=2, max_n=13))
 def test_paths3_between_parity(g):
     for u in range(min(g.n, 4)):
@@ -46,6 +53,7 @@ def test_paths3_between_parity(g):
             )
 
 
+@needs_compiled
 @settings(deadline=None)
 @given(graphs())
 def test_large_graphs_fall_back_to_pure(g):
@@ -55,6 +63,7 @@ def test_large_graphs_fall_back_to_pure(g):
     assert kernels.cycle_counts(rows, big) == pure.cycle_counts(rows, big)
 
 
+@needs_compiled
 def test_embedding_code_parity_on_corpus():
     for n in (4, 5, 6, 7, 8):
         for emb in corpus(n):
@@ -64,6 +73,7 @@ def test_embedding_code_parity_on_corpus():
             )
 
 
+@needs_compiled
 def test_embedding_code_requires_connected():
     with pytest.raises(ValueError):
         pure.embedding_min_code(((), ()), 2)
@@ -71,6 +81,89 @@ def test_embedding_code_requires_connected():
         fast().embedding_min_code(((), ()), 2)
 
 
+@needs_compiled
 def test_backend_names():
     assert set(kernels.backends()) == {"pure", "compiled"}
     assert kernels.backend_name() in ("pure", "compiled")
+
+
+def _full_min_code(rot, n):
+    """Reference: the minimum of the complete breadth-first code over every
+    start edge whose tail has minimum degree, in both directions."""
+    degs = [len(r) for r in rot]
+    dmin = min(degs)
+    best = None
+    for u in range(n):
+        if degs[u] != dmin:
+            continue
+        for v in rot[u]:
+            for rev in (False, True):
+                code = _full_bfs_code(rot, n, u, v, rev)
+                if best is None or code < best:
+                    best = code
+    return best
+
+
+def _full_bfs_code(rot, n, su, sv, rev):
+    lab = [-1] * n
+    lab[su], lab[sv] = 0, 1
+    order = [su, sv]
+    entry = [0] * n
+    entry[su], entry[sv] = sv, su
+    nxt = 2
+    code = []
+    step = -1 if rev else 1
+    for x in order:
+        r = rot[x]
+        d = len(r)
+        pos = r.index(entry[x])
+        code.append(d)
+        for k in range(d):
+            w = r[(pos + step * k) % d]
+            lw = lab[w]
+            if lw < 0:
+                lab[w] = lw = nxt
+                nxt += 1
+                order.append(w)
+                entry[w] = x
+            code.append(lw)
+    return tuple(code)
+
+
+def _children(max_parent_n):
+    for n in range(4, max_parent_n + 1):
+        for emb in corpus(n):
+            rot = emb.rotations
+            for v, rot_v in enumerate(rot):
+                for i in range(len(rot_v)):
+                    for j in range(i + 1, len(rot_v)):
+                        yield split_vertex(rot, v, i, j)
+
+
+def test_min_code_equals_full_minimum_on_every_child():
+    children = list(_children(10))
+    assert len(children) == 29444
+    for rot in children:
+        assert pure.embedding_min_code(rot, len(rot)) == _full_min_code(rot, len(rot))
+
+
+def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
+    rng = random.Random(31)
+    for rot in rng.sample(list(_children(9)), 600):
+        n = len(rot)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [()] * n
+        for v, r in enumerate(rot):
+            relabeled[perm[v]] = tuple(perm[w] for w in r)
+        mirrored = tuple(r[::-1] for r in relabeled)
+        code = pure.embedding_min_code(rot, n)
+        for variant in (tuple(relabeled), mirrored):
+            assert pure.embedding_min_code(variant, n) == _full_min_code(variant, n) == code
+
+
+def test_min_code_requires_connected():
+    with pytest.raises(ValueError):
+        pure.embedding_min_code(((), ()), 2)
+    with pytest.raises(ValueError):
+        pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
