@@ -10,8 +10,6 @@ from .graphs import (
     Graph,
     GraphError,
     common_neighbors,
-    contract_edge,
-    degree,
     induced_subgraph,
     is_path_forest,
     parse_graph6,
@@ -32,7 +30,6 @@ from .embeddings import (
     EmbeddingError,
     Face,
     NotPlanar,
-    is_planar,
     is_triangulation,
     neighborhood_cycle,
     planar_embed,
@@ -84,20 +81,17 @@ __all__ = [
     "bruteforce_triangulations",
     "canonical_form",
     "common_neighbors",
-    "contract_edge",
     "corpus",
     "count_cycles",
     "count_cycles_bruteforce",
     "count_face_paths3",
     "count_paths3",
     "cycle_report",
-    "degree",
     "enumerate_triangulations",
     "expand",
     "g_formula",
     "induced_subgraph",
     "is_path_forest",
-    "is_planar",
     "is_triangulation",
     "neighborhood_cycle",
     "parse_graph6",

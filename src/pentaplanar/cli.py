@@ -25,12 +25,10 @@ from .embeddings import Embedding, planar_embed
 from .enumeration import (
     MAX_N,
     MIN_N,
-    base_level_code,
-    code_to_embedding,
     corpus,
     corpus_graph6,
     enumerate_triangulations,
-    _level_codes,
+    _grow,
 )
 from .families import expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
@@ -231,7 +229,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for n in ns:
         if args.lemmas_only:
             embs = corpus(n, workers=args.workers)
-            lemmas = verify_lemmas_over([e.graph for e in embs], embs)
+            lemmas = verify_lemmas_over(embs)
             rep = {
                 "schema_version": SCHEMA_VERSION,
                 "n": n,
@@ -339,10 +337,9 @@ def _bench_enumeration(n: int, workers: int) -> dict:
     if not (MIN_N <= n <= MAX_N):
         raise GraphError(f"--n must be in {MIN_N}..{MAX_N}")
     t0 = time.perf_counter()
-    level = [code_to_embedding(base_level_code()).rotations]
-    for _ in range(MIN_N, n):
-        codes = _level_codes(level, workers)
-        level = [code_to_embedding(c).rotations for c in codes]
+    level = corpus(MIN_N)
+    for level in _grow(level, n, workers):
+        pass
     dt = time.perf_counter() - t0
     return {
         "schema_version": SCHEMA_VERSION,

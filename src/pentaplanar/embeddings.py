@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, _bits, _flood
 
 
 class EmbeddingError(ValueError):
@@ -87,72 +87,26 @@ class Embedding:
     @cached_property
     def is_spherical(self) -> bool:
         """Euler check n - m + f = 2, applied to every connected component."""
-        comp = _component_labels(self.graph)
-        ncomp = max(comp) + 1 if comp else 0
-        nn = [0] * ncomp
-        mm = [0] * ncomp
-        ff = [0] * ncomp
-        for v in range(self.graph.n):
-            nn[comp[v]] += 1
-        for u, v in self.graph.edges():
-            mm[comp[u]] += 1
-        for face in self.faces:
-            ff[comp[face.boundary[0]]] += 1
-        return all(
-            n_c == 1 or n_c - m_c + f_c == 2 for n_c, m_c, f_c in zip(nn, mm, ff)
-        )
-
-    def serialize(self) -> str:
-        """Text lines "v: w1 w2 ... wd"; round-trips through parse_rotations."""
-        lines = []
-        for v, rot in enumerate(self.rotations):
-            lines.append(f"{v}:" + "".join(f" {w}" for w in rot))
-        return "\n".join(lines) + "\n"
+        rows = self.graph.bitrows
+        starts = [face.boundary[0] for face in self.faces]
+        rest = (1 << self.graph.n) - 1
+        while rest:
+            comp = _flood(rows, rest & -rest, rest)
+            rest ^= comp
+            n_c = comp.bit_count()
+            m_c = sum(rows[v].bit_count() for v in _bits(comp)) // 2
+            f_c = sum(comp >> v & 1 for v in starts)
+            if n_c > 1 and n_c - m_c + f_c != 2:
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"Embedding(n={self.graph.n}, m={self.graph.m})"
 
 
-def parse_rotations(text: str) -> Embedding:
-    """Inverse of Embedding.serialize."""
-    rows: dict[int, list[int]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(":")
-        rows[int(head)] = [int(tok) for tok in rest.split()]
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise EmbeddingError("rotation lines must cover vertices 0..n-1")
-    edges = set()
-    for v, rot in rows.items():
-        for w in rot:
-            edges.add((min(v, w), max(v, w)))
-    g = Graph(n, sorted(edges))
-    return Embedding(g, [rows[v] for v in range(n)])
-
-
-def _component_labels(g: Graph) -> list[int]:
-    comp = [-1] * g.n
-    label = 0
-    for start in range(g.n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = label
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors[v]:
-                if comp[w] < 0:
-                    comp[w] = label
-                    stack.append(w)
-        label += 1
-    return comp
-
-
 def _is_connected(g: Graph) -> bool:
-    return g.n <= 1 or max(_component_labels(g)) == 0
+    full = (1 << g.n) - 1
+    return g.n <= 1 or _flood(g.bitrows, 1, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +139,6 @@ def planar_embed(g: Graph) -> Embedding | NotPlanar:
     if not emb.is_spherical:
         raise AssertionError("embedder produced a non-spherical rotation system")
     return emb
-
-
-def is_planar(g: Graph) -> bool:
-    return isinstance(planar_embed(g), Embedding)
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:

@@ -29,6 +29,15 @@ arc endpoints), so the strict comparison never rejects it against itself;
 ties between equally small edges keep several children of one class, which
 the code set merges.
 
+One builder, `_grow`, turns a level into the next ones; `corpus` uses it to
+fill only the levels its process-lifetime cache lacks.  With workers > 1 it
+opens a single process pool per call, at the first level whose parents
+outnumber 4 * workers, and keeps it for the remaining levels.  Each level is
+handed to the pool as 4 * workers interleaved batches (parents[k::4 *
+workers]), not one contiguous stretch of the sorted level per worker; the
+batch code sets are merged and sorted, so the result does not depend on the
+worker count.
+
 Correctness is defined by oracle equivalence: `bruteforce_triangulations`
 re-derives the small levels by filtering every graph with 3n - 6 edges for
 planarity and all-triangle faces, with no shared machinery.
@@ -41,7 +50,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import kernels
 from .canon import canonical_form
@@ -195,27 +204,30 @@ def _expand_batch(
     return codes
 
 
-def _level_codes(
-    parent_rotations: list[tuple[tuple[int, ...], ...]], workers: int
-) -> list[tuple[int, ...]]:
-    """Sorted child canonical codes of one full parent level."""
-    if workers > 1 and len(parent_rotations) > 2 * workers:
-        chunk = (len(parent_rotations) + workers - 1) // workers
-        batches = [
-            parent_rotations[k : k + chunk]
-            for k in range(0, len(parent_rotations), chunk)
-        ]
-        codes: set[tuple[int, ...]] = set()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_expand_batch, batches):
-                codes |= part
-    else:
-        codes = _expand_batch(parent_rotations)
-    return sorted(codes)
-
-
-def base_level_code() -> tuple[int, ...]:
-    return kernels.embedding_min_code(_K4_ROTATIONS, 4)
+def _grow(
+    level: tuple[Embedding, ...], n: int, workers: int
+) -> Iterator[tuple[Embedding, ...]]:
+    """Yield the levels after `level` up to n vertices, each one built from
+    the one before it; see the module docstring for the pool policy."""
+    step = 4 * workers
+    pool: ProcessPoolExecutor | None = None
+    try:
+        for _ in range(level[0].graph.n, n):
+            parents = [e.rotations for e in level]
+            if pool is None and workers > 1 and len(parents) > step:
+                pool = ProcessPoolExecutor(max_workers=workers)
+            if pool is None:
+                codes = _expand_batch(parents)
+            else:
+                batches = [parents[k::step] for k in range(step)]
+                codes = set()
+                for part in pool.map(_expand_batch, batches):
+                    codes |= part
+            level = tuple(code_to_embedding(c) for c in sorted(codes))
+            yield level
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 _LEVELS: dict[int, tuple[Embedding, ...]] = {}
@@ -228,13 +240,11 @@ def corpus(n: int, workers: int = 1) -> tuple[Embedding, ...]:
     """
     if not (MIN_N <= n <= MAX_N):
         raise GraphError(f"triangulation enumeration supports {MIN_N} <= n <= {MAX_N}")
-    if n not in _LEVELS:
-        if n == MIN_N:
-            _LEVELS[4] = (code_to_embedding(base_level_code()),)
-        else:
-            parents = corpus(n - 1, workers=workers)
-            codes = _level_codes([e.rotations for e in parents], workers)
-            _LEVELS[n] = tuple(code_to_embedding(c) for c in codes)
+    if not _LEVELS:
+        k4 = kernels.embedding_min_code(_K4_ROTATIONS, MIN_N)
+        _LEVELS[MIN_N] = (code_to_embedding(k4),)
+    for level in _grow(_LEVELS[max(_LEVELS)], n, workers):
+        _LEVELS[level[0].graph.n] = level
     return _LEVELS[n]
 
 

@@ -6,8 +6,8 @@ membership, bit-parallel intersection).  Bitmasks are plain Python ints, so
 the same representation covers any n; the compiled kernel additionally packs
 them into 64-bit words when n <= 64.
 
-Graphs are values: every derived graph (induced subgraph, contraction) is a
-fresh object and carries an explicit relabeling map.
+Graphs are values: a derived graph (induced subgraph, relabeling) is a fresh
+object; an induced subgraph also returns its relabeling map.
 """
 
 from __future__ import annotations
@@ -98,6 +98,18 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
+    """The vertices of `within` reachable from the `seed` mask inside it."""
+    reached = frontier = seed
+    while frontier:
+        grow = 0
+        for w in _bits(frontier):
+            grow |= rows[w]
+        frontier = grow & within & ~reached
+        reached |= frontier
+    return reached
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -112,18 +124,9 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
 # ---------------------------------------------------------------------------
 # Neighborhood / subgraph operations
 # ---------------------------------------------------------------------------
-
-
-def degree(g: Graph, v: int) -> int:
-    """Number of neighbors of v."""
-    return g.degree(v)
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -152,31 +155,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]
         if u < v and v in relabel
     ]
     return Graph(len(verts), edges), relabel
-
-
-def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
-    """Contract edge {u,v} into a single vertex; parallel edges collapse.
-
-    The merged vertex inherits the smaller of the two labels after the usual
-    dense relabeling; returns the new graph plus the old->new map (u and v
-    map to the same vertex).
-    """
-    if not g.has_edge(u, v):
-        raise GraphError(f"({u},{v}) is not an edge; cannot contract")
-    lo, hi = min(u, v), max(u, v)
-    relabel = {}
-    for w in range(g.n):
-        if w == hi:
-            relabel[w] = relabel[lo] if lo in relabel else lo
-        else:
-            relabel[w] = w - (1 if w > hi else 0)
-    relabel[hi] = relabel[lo]
-    edges = {
-        (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
-        for a, b in g.edges()
-        if relabel[a] != relabel[b]
-    }
-    return Graph(g.n - 1, sorted(edges)), relabel
 
 
 @dataclass(frozen=True)

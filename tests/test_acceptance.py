@@ -22,13 +22,11 @@ from pentaplanar.counting import (
 )
 from pentaplanar.embeddings import Embedding, planar_embed
 from pentaplanar.enumeration import (
-    base_level_code,
     bruteforce_triangulations,
-    code_to_embedding,
     corpus,
     enumerate_triangulations,
     _digest,
-    _level_codes,
+    _grow,
 )
 from pentaplanar.families import (
     EXCEPTIONAL_C5,
@@ -302,10 +300,9 @@ def test_criterion_7_neighborhood_cycles():
 
 def _fresh_digest(n: int, workers: int) -> str:
     """Digest of level n built from K4 here, bypassing the level cache."""
-    level = [code_to_embedding(base_level_code())]
-    for _ in range(4, n):
-        codes = _level_codes([e.rotations for e in level], workers)
-        level = [code_to_embedding(c) for c in codes]
+    level = corpus(4)
+    for level in _grow(level, n, workers):
+        pass
     return _digest(sorted(to_graph6(e.graph) for e in level))
 
 

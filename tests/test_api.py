@@ -1,0 +1,19 @@
+import pentaplanar
+from pentaplanar import embeddings, graphs
+
+# helpers that had no production caller and no oracle role; removed
+DELETED = {
+    graphs: ("complete_bipartite", "contract_edge", "degree"),
+    embeddings: ("is_planar", "parse_rotations"),
+}
+
+
+def test_public_api_resolves():
+    for name in pentaplanar.__all__:
+        assert hasattr(pentaplanar, name), name
+    for module, names in DELETED.items():
+        for name in names:
+            assert name not in pentaplanar.__all__
+            assert not hasattr(pentaplanar, name), name
+            assert not hasattr(module, name), name
+    assert not hasattr(pentaplanar.Embedding, "serialize")

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pentaplanar.cli import main
+from pentaplanar.cli import _parse_range, main
 from pentaplanar.counting import g_formula
-from pentaplanar.graphs import parse_graph6
+from pentaplanar.graphs import GraphError, parse_graph6
 
 
 def run(capsys, *argv):
@@ -212,3 +216,25 @@ def test_verify_malformed_range_is_a_usage_error(capsys):
     # the range is checked before it is materialised
     code, _, err = run(capsys, "verify", "--n", f"5..{10 ** 12}")
     assert code == 2 and "5..12" in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet="0123456789.-x ", max_size=12))
+def test_parse_range_returns_or_raises_graph_error(text):
+    try:
+        ns = _parse_range(text)
+    except GraphError:
+        return
+    assert isinstance(ns, range)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(max_size=40) | st.text(alphabet="0123456789 \n?@ABC~", max_size=40))
+def test_count_on_arbitrary_text_exits_0_or_2(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz-count.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["count", str(path)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()

@@ -7,7 +7,7 @@ from pentaplanar.embeddings import is_triangulation
 from pentaplanar import kernels
 from pentaplanar.enumeration import (
     _expand_batch,
-    _level_codes,
+    _grow,
     _new_edge_is_minimal,
     bruteforce_triangulations,
     canonical_code,
@@ -126,12 +126,16 @@ def test_visitor_called_once_per_class():
 
 def test_determinism_across_runs_and_workers():
     # fresh level builds, not the process-lifetime level cache
-    parents = [e.rotations for e in corpus(9)]
-    base = _level_codes(parents, 1)
-    again = _level_codes(parents, 1)
-    pooled = _level_codes(parents, 4)
+    def codes(start, n, workers):
+        return [[canonical_code(e) for e in level] for level in _grow(start, n, workers)]
+
+    base = codes(corpus(9), 10, 1)
+    again = codes(corpus(9), 10, 1)
+    pooled = codes(corpus(9), 10, 4)
     assert base == again == pooled
-    assert base == [canonical_code(e) for e in corpus(10)]
+    assert base == [[canonical_code(e) for e in corpus(10)]]
+    # one pool kept over levels 9 and 10, the first two with > 4 * 2 parents
+    assert codes(corpus(4), 10, 2) == codes(corpus(4), 10, 1)
 
 
 @pytest.mark.parametrize("n", sorted(KNOWN_DIGESTS))

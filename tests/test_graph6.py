@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pentaplanar.graphs import (
     Graph,
@@ -69,3 +70,17 @@ def test_autodetect():
     assert parse_graph_text(to_edge_list_text(g)) == g
     with pytest.raises(GraphError):
         parse_graph_text("C~", fmt="nonsense")
+
+
+# arbitrary text, and text from the alphabet both formats are written in
+_texts = st.text() | st.text(alphabet="0123456789 -\n?@ABC_~x>graph6<", max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts, st.sampled_from(["auto", "graph6", "edgelist"]))
+def test_parse_graph_text_returns_or_raises_graph_error(text, fmt):
+    try:
+        g = parse_graph_text(text, fmt)
+    except GraphError:
+        return
+    assert isinstance(g, Graph)

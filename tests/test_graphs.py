@@ -6,9 +6,7 @@ from pentaplanar.graphs import (
     GraphError,
     common_neighbors,
     complete_graph,
-    contract_edge,
     cycle_graph,
-    degree,
     induced_subgraph,
     is_path_forest,
     path_graph,
@@ -36,15 +34,15 @@ def test_degenerate_graphs_are_legal():
 
 
 def test_degree_examples():
-    assert degree(complete_graph(4), 0) == 3
+    assert complete_graph(4).degree(0) == 3
     # double-wheel apex (vertex n-2) touches every cycle vertex
     from pentaplanar.families import build_D
 
     d10 = build_D(10)
-    assert degree(d10, 8) == 8
-    assert degree(Graph(1, []), 0) == 0
+    assert d10.degree(8) == 8
+    assert Graph(1, []).degree(0) == 0
     with pytest.raises(GraphError):
-        degree(Graph(2, []), 5)
+        Graph(2, []).degree(5)
 
 
 def test_common_neighbors_examples():
@@ -76,20 +74,6 @@ def test_induced_subgraph_examples():
     assert empty.n == 0
 
 
-def test_contract_edge_examples():
-    tri = cycle_graph(3)
-    g, _ = contract_edge(tri, 0, 1)
-    assert (g.n, g.m) == (2, 1)
-    c5 = cycle_graph(5)
-    g, _ = contract_edge(c5, 1, 2)
-    assert (g.n, g.m) == (4, 4) and set(g.degree_sequence()) == {2}  # a 4-cycle
-    k4 = complete_graph(4)
-    g, _ = contract_edge(k4, 2, 3)
-    assert g == complete_graph(3)
-    with pytest.raises(GraphError):
-        contract_edge(c5, 0, 2)
-
-
 def test_is_path_forest_examples():
     r = is_path_forest(cycle_graph(4))
     assert not r.ok
@@ -110,18 +94,6 @@ def test_common_neighbors_never_contains_endpoints(g):
     for u, v in g.edges():
         cn = common_neighbors(g, u, v)
         assert u not in cn and v not in cn
-
-
-@given(graphs(min_n=1, max_n=9))
-def test_contract_properties(g):
-    for u, v in g.edges()[:6]:
-        h, relabel = contract_edge(g, u, v)
-        assert h.n == g.n - 1
-        assert relabel[u] == relabel[v]
-        # simplicity is enforced by the Graph constructor; spot the row symmetry
-        for a in range(h.n):
-            for b in h.neighbors[a]:
-                assert a in h.neighbors[b]
 
 
 @given(graphs(max_n=9))

@@ -15,7 +15,6 @@ from pentaplanar.families import build_D
 from pentaplanar.graphs import (
     Graph,
     common_neighbors,
-    complete_bipartite,
     complete_graph,
     induced_subgraph,
     is_path_forest,
@@ -146,6 +145,31 @@ def test_monotonicity_small_run():
     assert payload["seed"] == 42 and payload["passed"]
 
 
+def _edges_tested_reference(samples: int, seed: int) -> int:
+    """The edge additions `verify_monotonicity` tests, found by embedding
+    every added edge, with no planarity inherited from the triangulation."""
+    rng = random.Random(seed)
+    tested = 0
+    for _ in range(samples):
+        n = rng.randint(5, 11)
+        classes = corpus(n)
+        g = classes[rng.randrange(len(classes))].graph
+        keep = [e for e in g.edges() if rng.random() > 0.25]
+        present = set(keep)
+        tested += sum(
+            isinstance(planar_embed(Graph(n, keep + [(u, v)])), Embedding)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in present
+        )
+    return tested
+
+
+def test_monotonicity_tests_the_planar_additions():
+    res = verify_monotonicity(samples=60, seed=42)
+    assert res.edges_tested == _edges_tested_reference(60, seed=42)
+
+
 def test_readding_deleted_edge_restores_count():
     d8 = build_D(8)
     edges = d8.edges()
@@ -238,7 +262,8 @@ def _lemma3_reference(embeddings) -> LemmaStats:
 def _random_graphs(count: int, seed: int) -> list[Graph]:
     """G(n, p) with n in 2..11 and p uniform, most of them non-planar."""
     rng = random.Random(seed)
-    out = [complete_graph(5), complete_graph(6), complete_bipartite(3, 3)]
+    k33 = Graph(6, [(u, 3 + v) for u in range(3) for v in range(3)])
+    out = [complete_graph(5), complete_graph(6), k33]
     while len(out) < count:
         n = rng.randint(2, 11)
         p = rng.random()
