@@ -27,16 +27,14 @@ from .enumeration import (
     MIN_N,
     corpus,
     corpus_graph6,
-    enumerate_triangulations,
+    _certificate,
     _grow,
 )
 from .families import expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
+    _lemma_sweeps,
     edge_deleted_variants,
-    verify_lemma1,
-    verify_lemma2,
-    verify_lemma3,
     verify_lemmas_over,
     verify_monotonicity,
     verify_theorem,
@@ -192,11 +190,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not (MIN_N <= args.n <= MAX_N):
         raise GraphError(f"--n must be in {MIN_N}..{MAX_N}")
-    cert = enumerate_triangulations(args.n, workers=args.workers)
+    lines = corpus_graph6(args.n, workers=args.workers)
+    cert = _certificate(args.n, lines)
     if args.out:
-        _write("\n".join(corpus_graph6(args.n)) + "\n", args.out)
+        _write("\n".join(lines) + "\n", args.out)
     elif not args.json:
-        for line in corpus_graph6(args.n):
+        for line in lines:
             print(line)
     if args.json:
         print(cert.to_json())
@@ -265,11 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             assert isinstance(emb, Embedding)
             emb_variants.append(emb)
         # remark4 is a triangulation property and does not apply to variants
-        lemmas = {
-            "lemma1": verify_lemma1(variants),
-            "lemma2": verify_lemma2(variants),
-            "lemma3": verify_lemma3(emb_variants),
-        }
+        lemmas = _lemma_sweeps(emb_variants)
         bad = sum(v.violations for v in lemmas.values())
         failed |= bad > 0
         summary["variants"] = {

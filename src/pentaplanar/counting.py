@@ -55,9 +55,20 @@ def count_cycles(g: Graph, k: int) -> int:
 
 
 def cycle_report(g: Graph) -> CycleCountReport:
-    c3, c4, c5 = kernels.cycle_counts(g.bitrows, g.n)
-    per_edge = kernels.c5_per_edge(g.bitrows, g.n)
+    """Cycle counts for k = 3, 4, 5 plus the per-vertex and per-edge C5 tallies.
+
+    Every total comes from one per-edge pass: c_k is the per-edge k-cycle
+    sum divided by k, since a k-cycle has k edges.  An edge uv lies on
+    |N(u) & N(v)| triangles, on one 4-cycle per path u-x-y-v
+    (`paths3_per_edge`) and on one 5-cycle per path u-a-b-c-v
+    (`c5_per_edge`).
+    """
+    rows = g.bitrows
     edges = g.edges()
+    per_edge = kernels.c5_per_edge(rows, g.n)
+    c3 = sum((rows[u] & rows[v]).bit_count() for u, v in edges) // 3
+    c4 = sum(kernels.paths3_per_edge(rows, g.n)) // 4
+    c5 = sum(per_edge) // 5
     vertex_tally = [0] * g.n
     for (u, v), cnt in zip(edges, per_edge):
         vertex_tally[u] += cnt

@@ -9,13 +9,24 @@ so every directed edge lies on exactly one facial walk.
 (Demoucron, Malgrange, Pertuiset) per biconnected block and glues the block
 rotations at cut vertices.  Faces are maintained as directed cycles during
 the insertion, which makes the final rotation system a one-pass read-off.
+
+Fragment bookkeeping.  The block's edges are sorted once; the list of edges
+not yet embedded shrinks by each inserted path.  Adjacency, the embedded
+subgraph H and every face are vertex bitmasks, so a fragment with
+attachment mask `att` fits a face exactly when `att & ~face_mask == 0`.
+Fragments are produced lazily in a fixed order: chords by (u, v), then
+bridges by their smallest vertex.  Each step takes the first fragment with
+the fewest admissible faces and places it in the first of them; the scan
+stops at the first fragment with no face (not planar) or with exactly one
+(forced).  Because that order and those rules fix every choice, the
+rotations and the NotPlanar reasons depend only on the input graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _bits, _flood
 
@@ -186,42 +197,40 @@ def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
 
 def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | NotPlanar:
     """Embed one biconnected block (>= 3 vertices); returns rotations."""
-    adj: dict[int, set[int]] = {}
+    adj: dict[int, int] = {}
     for u, v in block_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    all_edges = {frozenset(e) for e in block_edges}
+        adj[u] = adj.get(u, 0) | 1 << v
+        adj[v] = adj.get(v, 0) | 1 << u
+    block_mask = _mask(adj)
 
     cycle = _find_cycle(adj)
     faces: list[list[int]] = [list(cycle), list(reversed(cycle))]
-    h_vertices = set(cycle)
-    h_edges = {
-        frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))
-    }
+    h_mask = _mask(cycle)
+    face_masks = [h_mask, h_mask]
+    rest = sorted((u, v) if u < v else (v, u) for u, v in block_edges)
+    rest = _drop_path_edges(rest, cycle + cycle[:1])
 
-    while h_edges != all_edges:
-        fragments = _fragments(adj, all_edges, h_vertices, h_edges)
-        chosen: tuple[int, _Fragment, int] | None = None
-        for frag in fragments:
-            admissible = [
-                i for i, f in enumerate(faces) if frag.attachments <= set(f)
-            ]
+    while rest:
+        chosen: tuple[int, int, int, int] | None = None
+        for att, interior in _fragments(adj, block_mask, rest, h_mask):
+            admissible = [i for i, fm in enumerate(face_masks) if not att & ~fm]
             if not admissible:
                 return NotPlanar(
-                    f"fragment attached at {sorted(frag.attachments)} fits no face"
+                    f"fragment attached at {list(_bits(att))} fits no face"
                 )
             if chosen is None or len(admissible) < chosen[0]:
-                chosen = (len(admissible), frag, admissible[0])
+                chosen = (len(admissible), att, interior, admissible[0])
                 if chosen[0] == 1:
                     # forced placement; no better choice can exist
                     break
         assert chosen is not None
-        _, frag, chosen_face = chosen
-        path = _alpha_path(adj, frag)
-        _insert_path(faces, chosen_face, path)
-        h_vertices.update(path)
-        for i in range(len(path) - 1):
-            h_edges.add(frozenset((path[i], path[i + 1])))
+        _, att, interior, face = chosen
+        path = _alpha_path(adj, att, interior)
+        _insert_path(faces, face, path)
+        face_masks[face] = _mask(faces[face])
+        face_masks.append(_mask(faces[-1]))
+        h_mask |= _mask(path)
+        rest = _drop_path_edges(rest, path)
 
     succ: dict[int, dict[int, int]] = {v: {} for v in adj}
     for face in faces:
@@ -237,55 +246,50 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
         while cur != start:
             cyc.append(cur)
             cur = nxt[cur]
-        if len(cyc) != len(adj[v]):
+        if len(cyc) != adj[v].bit_count():
             raise AssertionError("face structure does not close into a rotation")
         rotations[v] = cyc
     return rotations
 
 
-@dataclass
-class _Fragment:
-    attachments: set[int]
-    interior: set[int]          # empty for a chord
-    chord: tuple[int, int] | None
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _drop_path_edges(
+    rest: list[tuple[int, int]], path: list[int]
+) -> list[tuple[int, int]]:
+    """The edges of `rest` (sorted pairs) that are not edges of the walk."""
+    done = {(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])}
+    return [e for e in rest if e not in done]
 
 
 def _fragments(
-    adj: dict[int, set[int]],
-    all_edges: set[frozenset[int]],
-    h_vertices: set[int],
-    h_edges: set[frozenset[int]],
-) -> list[_Fragment]:
-    frags: list[_Fragment] = []
-    for e in sorted(all_edges - h_edges, key=sorted):
-        u, v = sorted(e)
-        if u in h_vertices and v in h_vertices:
-            frags.append(_Fragment({u, v}, set(), (u, v)))
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in h_vertices or start in seen:
-            continue
-        interior = {start}
-        seen.add(start)
-        attach: set[int] = set()
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in h_vertices:
-                    attach.add(y)
-                elif y not in seen:
-                    seen.add(y)
-                    interior.add(y)
-                    stack.append(y)
-        frags.append(_Fragment(attach, interior, None))
-    return frags
+    adj: dict[int, int], block_mask: int, rest: list[tuple[int, int]], h_mask: int
+) -> Iterator[tuple[int, int]]:
+    """The fragments of the block relative to H, as (attachments, interior)
+    vertex masks, lazily: chords (interior 0) in (u, v) order, then the
+    bridges in order of their smallest vertex."""
+    for u, v in rest:
+        if h_mask >> u & 1 and h_mask >> v & 1:
+            yield 1 << u | 1 << v, 0
+    outside = block_mask & ~h_mask
+    while outside:
+        interior = _flood(adj, outside & -outside, outside)
+        outside ^= interior
+        reach = 0
+        for x in _bits(interior):
+            reach |= adj[x]
+        yield reach & h_mask, interior
 
 
-def _find_cycle(adj: dict[int, set[int]]) -> list[int]:
+def _find_cycle(adj: dict[int, int]) -> list[int]:
     """Any cycle, via depth-first search (no cross edges in undirected DFS)."""
     start = min(adj)
-    frames = [(start, -1, iter(sorted(adj[start])))]
+    frames = [(start, -1, _bits(adj[start]))]
     onpath = [start]
     onset = {start}
     visited = {start}
@@ -299,7 +303,7 @@ def _find_cycle(adj: dict[int, set[int]]) -> list[int]:
                 return onpath[onpath.index(w) :]
             if w not in visited:
                 visited.add(w)
-                frames.append((w, v, iter(sorted(adj[w]))))
+                frames.append((w, v, _bits(adj[w])))
                 onpath.append(w)
                 onset.add(w)
                 advanced = True
@@ -311,26 +315,27 @@ def _find_cycle(adj: dict[int, set[int]]) -> list[int]:
     raise AssertionError("biconnected block with >= 3 vertices must contain a cycle")
 
 
-def _alpha_path(adj: dict[int, set[int]], frag: _Fragment) -> list[int]:
-    """A path between two distinct attachments through the fragment interior."""
-    if frag.chord is not None:
-        return list(frag.chord)
-    a = min(frag.attachments)
+def _alpha_path(adj: dict[int, int], att: int, interior: int) -> list[int]:
+    """A path between two distinct attachments through the fragment interior
+    (the chord itself when the interior is empty)."""
+    if not interior:
+        return list(_bits(att))
+    a = (att & -att).bit_length() - 1
     parent: dict[int, int] = {}
-    queue = [x for x in sorted(adj[a]) if x in frag.interior]
+    queue = list(_bits(adj[a] & interior))
     for x in queue:
         parent[x] = -1
     qi = 0
     while qi < len(queue):
         x = queue[qi]
         qi += 1
-        for b in sorted(adj[x]):
-            if b in frag.attachments and b != a:
+        for b in _bits(adj[x]):
+            if att >> b & 1 and b != a:
                 rev = [x]
                 while parent[rev[-1]] != -1:
                     rev.append(parent[rev[-1]])
                 return [a] + list(reversed(rev)) + [b]
-            if b in frag.interior and b not in parent:
+            if interior >> b & 1 and b not in parent:
                 parent[b] = x
                 queue.append(b)
     raise AssertionError("fragment with a single attachment inside a biconnected block")

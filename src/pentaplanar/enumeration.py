@@ -262,8 +262,12 @@ def enumerate_triangulations(
     if visitor is not None:
         for emb in classes:
             visitor(emb)
-    lines = corpus_graph6(n, workers=workers)
-    return EnumerationCertificate(n=n, count=len(classes), digest=_digest(lines))
+    return _certificate(n, corpus_graph6(n, workers=workers))
+
+
+def _certificate(n: int, lines: list[str]) -> EnumerationCertificate:
+    """The certificate of the level whose sorted graph6 dump is `lines`."""
+    return EnumerationCertificate(n=n, count=len(lines), digest=_digest(lines))
 
 
 def corpus_graph6(n: int, workers: int = 1) -> list[str]:

@@ -244,13 +244,21 @@ def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | No
 def verify_lemma2(graphs) -> LemmaStats:
     """At most 2(k-3) length-3 paths join the endpoints of any edge of a
     planar graph on k >= 3 vertices."""
+    return _lemma2((g, _paths3(g)) for g in graphs)
+
+
+def _paths3(g: Graph) -> list[int]:
+    return kernels.paths3_per_edge(g.bitrows, g.n)
+
+
+def _lemma2(pairs) -> LemmaStats:
+    """Lemma 2 over (graph, per-edge length-3 path counts) pairs."""
     stats = LemmaStats()
-    for g in graphs:
+    for g, counts in pairs:
         k = g.n
         if k < 3:
             continue
         bound = 2 * (k - 3)
-        counts = kernels.paths3_per_edge(g.bitrows, g.n)
         for (u, v), cnt in zip(g.edges(), counts):
             stats.record(
                 cnt <= bound,
@@ -267,14 +275,19 @@ def verify_lemma3(embeddings) -> LemmaStats:
     The face count is the sum of the per-edge length-3 path counts over the
     face's three edges, taken from one `paths3_per_edge` pass per graph.
     """
+    return _lemma3((emb, _paths3(emb.graph)) for emb in embeddings)
+
+
+def _lemma3(pairs) -> LemmaStats:
+    """Lemma 3 over (embedding, per-edge length-3 path counts) pairs."""
     stats = LemmaStats()
-    for emb in embeddings:
+    for emb, counts in pairs:
         g = emb.graph
         k = g.n
         if k < 4:
             continue
         rows = g.bitrows
-        paths = dict(zip(g.edges(), kernels.paths3_per_edge(rows, k)))
+        paths = dict(zip(g.edges(), counts))
         for face in triangular_faces(emb):
             a, b, c = sorted(face.boundary)
             cnt = paths[(a, b)] + paths[(b, c)] + paths[(a, c)]
@@ -304,12 +317,19 @@ def verify_remark4(embeddings) -> LemmaStats:
 
 
 def verify_lemmas_over(embeddings) -> dict[str, LemmaStats]:
+    """All four sweeps; Lemmas 2 and 3 share one `paths3_per_edge` pass."""
+    return {**_lemma_sweeps(embeddings), "remark4": verify_remark4(embeddings)}
+
+
+def _lemma_sweeps(embeddings) -> dict[str, LemmaStats]:
+    """Lemmas 1, 2 and 3 over a sequence of embeddings, with one
+    `paths3_per_edge` pass per graph serving both Lemma 2 and Lemma 3."""
     graphs = [e.graph for e in embeddings]
+    paths = [_paths3(g) for g in graphs]
     return {
         "lemma1": verify_lemma1(graphs),
-        "lemma2": verify_lemma2(graphs),
-        "lemma3": verify_lemma3(embeddings),
-        "remark4": verify_remark4(embeddings),
+        "lemma2": _lemma2(zip(graphs, paths)),
+        "lemma3": _lemma3(zip(embeddings, paths)),
     }
 
 

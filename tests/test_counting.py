@@ -131,3 +131,45 @@ def test_adding_an_edge_never_decreases_counts(g):
         grown = Graph(g.n, list(present) + [(u, v)])
         for k, b in zip((3, 4, 5), base):
             assert count_cycles(grown, k) >= b
+
+
+def _c5_per_edge_bruteforce(g):
+    """Per-edge 5-cycle tally, each cycle listed once: from its least
+    vertex s, through vertices above s, with its second vertex below its
+    last."""
+    tally = {e: 0 for e in g.edges()}
+
+    def extend(path):
+        if len(path) == 5:
+            if path[1] < path[4] and g.has_edge(path[4], path[0]):
+                for a, b in zip(path, path[1:] + path[:1]):
+                    tally[(min(a, b), max(a, b))] += 1
+            return
+        for w in g.neighbors[path[-1]]:
+            if w > path[0] and w not in path:
+                extend(path + [w])
+
+    for s in range(g.n):
+        extend([s])
+    return [tally[e] for e in g.edges()]
+
+
+def _assert_report_matches_oracles(g):
+    rep = cycle_report(g)
+    assert (rep.c3, rep.c4, rep.c5) == tuple(
+        count_cycles_bruteforce(g, k) for k in (3, 4, 5)
+    )
+    assert [(u, v) for u, v, _ in rep.per_edge_c5] == g.edges()
+    assert [cnt for _, _, cnt in rep.per_edge_c5] == _c5_per_edge_bruteforce(g)
+
+
+@settings(deadline=None, max_examples=60)
+@given(graphs(max_n=9))
+def test_report_matches_bruteforce(g):
+    _assert_report_matches_oracles(g)
+
+
+def test_report_matches_bruteforce_on_families():
+    for n in (5, 6, 8, 11):
+        _assert_report_matches_oracles(build_D(n))
+        _assert_report_matches_oracles(build_E(n))

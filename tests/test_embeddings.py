@@ -1,3 +1,7 @@
+import random
+from dataclasses import dataclass
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
@@ -6,11 +10,14 @@ from pentaplanar.embeddings import (
     EmbeddingError,
     NotPlanar,
     Face,
+    _biconnected_blocks,
+    _insert_path,
     is_triangulation,
     neighborhood_cycle,
     planar_embed,
     triangular_faces,
 )
+from pentaplanar.enumeration import corpus
 from pentaplanar.families import build_D, build_E
 from pentaplanar.graphs import (
     Graph,
@@ -152,3 +159,239 @@ def test_agreement_with_networkx_oracle():
 def test_deterministic_embedding():
     g = build_D(9)
     assert planar_embed(g).rotations == planar_embed(g).rotations
+
+
+# ---------------------------------------------------------------------------
+# Reference embedder: the set-based fragment route, kept as an oracle for the
+# bitmask bookkeeping in `embeddings._embed_block`.  It rebuilds the fragment
+# list from scratch on every path addition and tests admissibility by set
+# containment; every choice must come out the same.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _RefFragment:
+    attachments: set[int]
+    interior: set[int]          # empty for a chord
+    chord: tuple[int, int] | None
+
+
+def _ref_fragments(adj, all_edges, h_vertices, h_edges):
+    frags = []
+    for e in sorted(all_edges - h_edges, key=sorted):
+        u, v = sorted(e)
+        if u in h_vertices and v in h_vertices:
+            frags.append(_RefFragment({u, v}, set(), (u, v)))
+    seen = set()
+    for start in sorted(adj):
+        if start in h_vertices or start in seen:
+            continue
+        interior = {start}
+        seen.add(start)
+        attach = set()
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in h_vertices:
+                    attach.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    interior.add(y)
+                    stack.append(y)
+        frags.append(_RefFragment(attach, interior, None))
+    return frags
+
+
+def _ref_find_cycle(adj):
+    start = min(adj)
+    frames = [(start, -1, iter(sorted(adj[start])))]
+    onpath = [start]
+    onset = {start}
+    visited = {start}
+    while frames:
+        v, parent, it = frames[-1]
+        advanced = False
+        for w in it:
+            if w == parent:
+                continue
+            if w in onset:
+                return onpath[onpath.index(w):]
+            if w not in visited:
+                visited.add(w)
+                frames.append((w, v, iter(sorted(adj[w]))))
+                onpath.append(w)
+                onset.add(w)
+                advanced = True
+                break
+        if not advanced:
+            frames.pop()
+            onpath.pop()
+            onset.discard(v)
+    raise AssertionError("no cycle")
+
+
+def _ref_alpha_path(adj, frag):
+    if frag.chord is not None:
+        return list(frag.chord)
+    a = min(frag.attachments)
+    parent = {}
+    queue = [x for x in sorted(adj[a]) if x in frag.interior]
+    for x in queue:
+        parent[x] = -1
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        for b in sorted(adj[x]):
+            if b in frag.attachments and b != a:
+                rev = [x]
+                while parent[rev[-1]] != -1:
+                    rev.append(parent[rev[-1]])
+                return [a] + list(reversed(rev)) + [b]
+            if b in frag.interior and b not in parent:
+                parent[b] = x
+                queue.append(b)
+    raise AssertionError("single attachment")
+
+
+def _ref_embed_block(block_edges):
+    adj = {}
+    for u, v in block_edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    all_edges = {frozenset(e) for e in block_edges}
+    cycle = _ref_find_cycle(adj)
+    faces = [list(cycle), list(reversed(cycle))]
+    h_vertices = set(cycle)
+    h_edges = {
+        frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))
+    }
+    while h_edges != all_edges:
+        chosen = None
+        for frag in _ref_fragments(adj, all_edges, h_vertices, h_edges):
+            admissible = [i for i, f in enumerate(faces) if frag.attachments <= set(f)]
+            if not admissible:
+                return NotPlanar(
+                    f"fragment attached at {sorted(frag.attachments)} fits no face"
+                )
+            if chosen is None or len(admissible) < chosen[0]:
+                chosen = (len(admissible), frag, admissible[0])
+                if chosen[0] == 1:
+                    break
+        _, frag, face = chosen
+        path = _ref_alpha_path(adj, frag)
+        _insert_path(faces, face, path)
+        h_vertices.update(path)
+        for i in range(len(path) - 1):
+            h_edges.add(frozenset((path[i], path[i + 1])))
+    succ = {v: {} for v in adj}
+    for face in faces:
+        size = len(face)
+        for t in range(size):
+            succ[face[(t + 1) % size]][face[t]] = face[(t + 2) % size]
+    rotations = {}
+    for v, nxt in succ.items():
+        start = next(iter(nxt))
+        cyc = [start]
+        while nxt[cyc[-1]] != start:
+            cyc.append(nxt[cyc[-1]])
+        rotations[v] = cyc
+    return rotations
+
+
+def _ref_planar_embed(g):
+    """Rotations as a tuple of tuples, or the NotPlanar reason string."""
+    n = g.n
+    if n >= 3 and g.m > 3 * n - 6:
+        return f"m={g.m} exceeds the planar bound 3n-6={3 * n - 6}"
+    rotations = [[] for _ in range(n)]
+    for block in _biconnected_blocks(g):
+        if len(block) == 1:
+            (u, v), = block
+            rotations[u].append(v)
+            rotations[v].append(u)
+            continue
+        rot_block = _ref_embed_block(block)
+        if isinstance(rot_block, NotPlanar):
+            return rot_block.reason
+        for v, cyc in rot_block.items():
+            rotations[v].extend(cyc)
+    return tuple(tuple(r) for r in rotations)
+
+
+def _embed_outcome(g):
+    result = planar_embed(g)
+    return result.reason if isinstance(result, NotPlanar) else result.rotations
+
+
+def _random_triangulation(n, rng):
+    """Stacked triangulation from K4, then 3n random edge flips, relabeled."""
+    faces = {frozenset(f) for f in combinations(range(4), 3)}
+    for v in range(4, n):
+        f = rng.choice(sorted(faces, key=sorted))
+        faces.remove(f)
+        faces |= {frozenset(p) | {v} for p in combinations(f, 2)}
+    edges = {frozenset(p) for f in faces for p in combinations(f, 2)}
+    for _ in range(3 * n):
+        e = rng.choice(sorted(edges, key=sorted))
+        f1, f2 = [f for f in faces if e <= f]
+        (c,), (d,) = f1 - e, f2 - e
+        if frozenset((c, d)) in edges:
+            continue
+        a, b = e
+        faces -= {f1, f2}
+        faces |= {frozenset((a, c, d)), frozenset((b, c, d))}
+        edges ^= {e, frozenset((c, d))}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+
+
+def _triangulation_variants(count, seed):
+    """Random triangulations with n up to 60, each as is, with one or two
+    edges deleted, with one edge added, and with two deleted and one added
+    (which reaches the fragment-level NotPlanar branch)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 60)
+        edges = _random_triangulation(n, rng)
+        rng.shuffle(edges)
+        present = set(edges)
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                  if (u, v) not in present]
+        extra = rng.choice(absent)
+        out += [
+            Graph(n, edges),
+            Graph(n, edges[1:]),
+            Graph(n, edges[2:]),
+            Graph(n, edges + [extra]),
+            Graph(n, edges[2:] + [extra]),
+        ]
+    return out
+
+
+def _gnp_graphs(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        p = rng.uniform(0.1, 0.7)
+        out.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p]))
+    return out
+
+
+def test_embedder_matches_reference_route():
+    families = [build(n) for build in (build_D, build_E) for n in range(5, 61)]
+    corpus_graphs = [e.graph for n in range(4, 10) for e in corpus(n)]
+    variants = _triangulation_variants(40, seed=5)
+    gnp = _gnp_graphs(400, seed=11)
+    for graphs in (corpus_graphs, families, variants, gnp):
+        for g in graphs:
+            assert _embed_outcome(g) == _ref_planar_embed(g), g.edges()
+    # both outcomes, and the fragment-level rejection, are reached
+    reasons = [_embed_outcome(g) for g in variants + gnp]
+    assert any("fits no face" in r for r in reasons if isinstance(r, str))
+    assert sum(isinstance(r, tuple) for r in reasons) > 100

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pentaplanar import kernels
 from pentaplanar.counting import apex_exists, count_cycles, count_face_paths3
 from pentaplanar.embeddings import (
     Embedding,
@@ -27,6 +28,7 @@ from pentaplanar.verification import (
     verify_lemma1,
     verify_lemma2,
     verify_lemma3,
+    verify_lemmas_over,
     verify_monotonicity,
     verify_remark4,
     verify_theorem,
@@ -303,3 +305,29 @@ def test_lemma3_matches_pairwise_reference():
         assert verify_lemma3(embs).to_json_dict() == (
             _lemma3_reference(embs).to_json_dict()
         )
+
+
+def test_lemmas_over_share_one_path_pass(monkeypatch):
+    """verify_lemmas_over gives the same stats as the separate sweeps and
+    makes one paths3_per_edge pass per graph, not one per sweep."""
+    embs = [e for n in range(5, 10) for e in corpus(n)]
+    graphs = [e.graph for e in embs]
+    separate = {
+        "lemma1": verify_lemma1(graphs),
+        "lemma2": verify_lemma2(graphs),
+        "lemma3": verify_lemma3(embs),
+        "remark4": verify_remark4(embs),
+    }
+    calls = []
+    real = kernels.paths3_per_edge
+
+    def counted(rows, n):
+        calls.append(n)
+        return real(rows, n)
+
+    monkeypatch.setattr(kernels, "paths3_per_edge", counted)
+    shared = verify_lemmas_over(embs)
+    assert len(calls) == len(embs)
+    assert {k: v.to_json_dict() for k, v in shared.items()} == {
+        k: v.to_json_dict() for k, v in separate.items()
+    }
