@@ -30,10 +30,10 @@ from .enumeration import (
     _certificate,
     _grow,
 )
-from .families import expand, expected_c5, spec_from_name
+from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
-    _lemma_sweeps,
+    _sweep,
     edge_deleted_variants,
     verify_lemmas_over,
     verify_monotonicity,
@@ -49,6 +49,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1 or getattr(args, "variants", 0) < 0:
+            raise GraphError("--workers must be at least 1 and --variants at least 0")
         return args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named family graph")
     p.add_argument("--family", required=True,
                    help="dn | en | a8 | a11 | exc0..exc5")
-    p.add_argument("--n", type=int, help="vertex count (dn/en)")
+    p.add_argument("--n", type=int, help=f"vertex count (dn/en, <= {FAMILY_MAX_N})")
     p.add_argument("--count", action="store_true",
                    help="also print the pentagon count")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
@@ -223,12 +225,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else " (use --allow-big for 13..14)")
         )
+    corpus(ns[-1], workers=args.workers)  # grow every level in one pass
     failed = False
     reports = []
     for n in ns:
         if args.lemmas_only:
-            embs = corpus(n, workers=args.workers)
-            lemmas = verify_lemmas_over(embs)
+            lemmas = verify_lemmas_over(corpus(n))
             rep = {
                 "schema_version": SCHEMA_VERSION,
                 "n": n,
@@ -258,13 +260,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary: dict = {"schema_version": SCHEMA_VERSION, "certificates": reports}
     if args.variants:
         variants = edge_deleted_variants(args.variants, seed=args.seed)
-        emb_variants = []
-        for gv in variants:
-            emb = planar_embed(gv)
-            assert isinstance(emb, Embedding)
-            emb_variants.append(emb)
+        embs = [planar_embed(gv) for gv in variants]
+        assert all(isinstance(e, Embedding) for e in embs)
         # remark4 is a triangulation property and does not apply to variants
-        lemmas = _lemma_sweeps(emb_variants)
+        lemmas = _sweep(("lemma1", "lemma2", "lemma3"),
+                        ((e.graph, e.rotations) for e in embs))
         bad = sum(v.violations for v in lemmas.values())
         failed |= bad > 0
         summary["variants"] = {

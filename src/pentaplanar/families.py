@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .canon import canonical_form
-from .counting import count_cycles
+from .counting import count_cycles, g_formula
 from .graphs import Graph, GraphError, parse_graph6
 
 EXCEPTIONAL_VERTICES = (7, 8, 9, 9, 10, 11)
@@ -36,6 +36,9 @@ EXCEPTIONAL_CANONICAL = (
     "I??^B]vvw",
     "J???~@nl}v_",
 )
+
+# Largest D_n / E_n built: n^2 / 8 bytes of rows, `construct --count` in seconds.
+FAMILY_MAX_N = 1024
 
 FAMILY_NAMES = ("dn", "en", "a8", "a11", "exc0", "exc1", "exc2", "exc3", "exc4", "exc5")
 
@@ -113,8 +116,10 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         if self.family in ("D", "E"):
-            if self.n < 5:
-                raise GraphError(f"{self.family}_n needs n >= 5, got {self.n}")
+            if not (5 <= self.n <= FAMILY_MAX_N):
+                raise GraphError(
+                    f"{self.family}_n needs 5 <= n <= {FAMILY_MAX_N}, got {self.n}"
+                )
         elif self.family == "A":
             if self.n not in (8, 11):
                 raise GraphError(f"A_n needs n in {{8, 11}}, got {self.n}")
@@ -166,11 +171,7 @@ def spec_from_name(name: str, n: int | None = None) -> FamilySpec:
 def expected_c5(spec: FamilySpec) -> int:
     """The documented pentagon count of a family member."""
     if spec.family == "D":
-        if spec.n == 5:
-            return 6
-        if spec.n == 7:
-            return 41
-        return 2 * spec.n * spec.n - 10 * spec.n + 12
+        return 6 if spec.n == 5 else g_formula(spec.n)
     if spec.family == "E":
         # Verified count of the path-plus-joined-apexes construction; holds
         # from n = 5 (where E_5 coincides with D_5).

@@ -6,6 +6,16 @@ exhaustive search ranges over triangulations only; the gap is discharged by
 two recorded sub-results: edge addition never decreases the pentagon count
 (`verify_monotonicity`), and the best non-extremal triangulation sits
 strictly below the maximum (`second_best` in the certificate).
+
+Each class is checked once, by `_check`: its adjacency rows are built
+once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
+`paths3_per_edge` pass.  No face is traced or cached: the facial triangles
+are read off the rotation system (`_triangles`).  Every public sweep is a
+loop over `_check`.  With workers > 1, `verify_theorem` opens one process
+pool per call, when the level has more than 4 * workers classes; each
+worker checks one contiguous chunk of the corpus, and `LemmaStats.merge`
+folds the chunks back in corpus order, so no result depends on the worker
+count.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass, field
 from . import kernels
 from .canon import canonical_form
 from .counting import count_cycles, g_formula
-from .embeddings import Embedding, _is_connected, planar_embed, triangular_faces
+from .embeddings import Embedding, _is_connected, planar_embed
 from .enumeration import corpus
 from .families import build_A, build_D
 from .graphs import Graph, _bits, _flood
@@ -27,12 +37,12 @@ SCHEMA_VERSION = 1
 
 MAX_VIOLATION_EXAMPLES = 5
 
+_LEMMAS = ("lemma1", "lemma2", "lemma3", "remark4")
+
 
 def expected_max_c5(n: int) -> int:
     """The proven maximum: 6 at n=5, 41 at n=7, else 2n^2 - 10n + 12."""
-    if n == 5:
-        return 6
-    return g_formula(n)
+    return 6 if n == 5 else g_formula(n)
 
 
 def expected_family_labels(n: int) -> tuple[str, ...]:
@@ -60,6 +70,16 @@ class LemmaStats:
             self.violations += 1
             if note and len(self.examples) < MAX_VIOLATION_EXAMPLES:
                 self.examples.append(note)
+
+    def merge(self, other: LemmaStats) -> None:
+        """Fold in the stats of the sweep that continues this one."""
+        self.checked += other.checked
+        self.violations += other.violations
+        slacks = {self.min_slack, self.max_slack, other.min_slack, other.max_slack}
+        slacks.discard(None)
+        if slacks:
+            self.min_slack, self.max_slack = min(slacks), max(slacks)
+        self.examples = (self.examples + other.examples)[:MAX_VIOLATION_EXAMPLES]
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,28 +131,6 @@ class VerificationCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _count_batch(args: tuple[list[tuple[int, ...]], int]) -> list[int]:
-    batch, n = args
-    return [kernels.cycle_counts(rows, n)[2] for rows in batch]
-
-
-def corpus_c5_counts(n: int, workers: int = 1) -> list[int]:
-    """Pentagon count per corpus class, in corpus order."""
-    embs = corpus(n, workers=workers)
-    rows_list = [e.graph.bitrows for e in embs]
-    if workers > 1 and len(rows_list) > 4 * workers:
-        chunk = (len(rows_list) + workers - 1) // workers
-        batches = [
-            (rows_list[i : i + chunk], n) for i in range(0, len(rows_list), chunk)
-        ]
-        out: list[int] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_count_batch, batches):
-                out.extend(part)
-        return out
-    return [kernels.cycle_counts(rows, n)[2] for rows in rows_list]
-
-
 def verify_theorem(
     n: int, workers: int = 1, include_lemmas: bool = False
 ) -> VerificationCertificate:
@@ -145,7 +143,20 @@ def verify_theorem(
     if not (5 <= n <= 14):
         raise ValueError(f"verify_theorem supports 5 <= n <= 14, got {n}")
     embs = corpus(n, workers=workers)
-    counts = corpus_c5_counts(n, workers=workers)
+    rotations = [e.rotations for e in embs]
+    names = _LEMMAS if include_lemmas else ()
+    if workers > 1 and len(embs) > 4 * workers:
+        size = -(-len(embs) // workers)
+        chunks = [(rotations[i : i + size], n, names) for i in range(0, len(embs), size)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_check_chunk, chunks))
+    else:
+        parts = [_check_chunk((rotations, n, names))]
+    counts, lemmas = parts[0]
+    for more_counts, more_lemmas in parts[1:]:
+        counts += more_counts
+        for name, stats in lemmas.items():
+            stats.merge(more_lemmas[name])
     max_c5 = max(counts)
     arg = [i for i, c in enumerate(counts) if c == max_c5]
     second = max((c for c in counts if c != max_c5), default=None)
@@ -165,7 +176,7 @@ def verify_theorem(
         and labels == tuple(sorted(expected_family_labels(n)))
         and (second is None or second < max_c5)
     )
-    cert = VerificationCertificate(
+    return VerificationCertificate(
         n=n,
         max_c5=max_c5,
         g_n=g_formula(n),
@@ -173,15 +184,87 @@ def verify_theorem(
         second_best=second,
         extremal=tuple(extremal),
         theorem_match=match,
+        lemmas=lemmas if include_lemmas else None,
     )
-    if include_lemmas:
-        cert.lemmas = verify_lemmas_over(embs)
-    return cert
+
+
+def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
+    """Pentagon count per rotation system of a chunk, and the named sweeps."""
+    chunk, n, names = args
+    stats = {name: LemmaStats() for name in names}
+    counts = []
+    for rots in chunk:
+        rows = tuple(sum(1 << w for w in rot) for rot in rots)
+        counts.append(kernels.cycle_counts(rows, n)[2])
+        _check(stats, n, rows, rots)
+    return counts, stats
 
 
 # ---------------------------------------------------------------------------
 # Lemma sweeps
 # ---------------------------------------------------------------------------
+
+
+def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
+    """Record one graph, given by its adjacency rows and (for lemma3 and
+    remark4) its rotation system, into every sweep named in `stats`."""
+    edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
+    if "lemma1" in stats:
+        for u, v in edges:
+            common = rows[u] & rows[v]
+            shape = _path_forest_shape(rows, common)
+            if shape is None:
+                note = f"n={n} edge=({u},{v}): not a path forest"
+                stats["lemma1"].record(False, note=note)
+                continue
+            f_edges, components = shape
+            size = common.bit_count()
+            single_path = components == 1
+            k = size + 2
+            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
+            ok = tri == single_path
+            stats["lemma1"].record(ok, note=None if ok else f"n={n} edge=({u},{v}): "
+                                   f"triangulation={tri} single_path={single_path}")
+    if "lemma2" in stats or "lemma3" in stats:
+        paths = dict(zip(edges, kernels.paths3_per_edge(rows, n)))
+    if "lemma2" in stats and n >= 3:
+        bound = 2 * (n - 3)
+        for (u, v), cnt in paths.items():
+            ok = cnt <= bound
+            stats["lemma2"].record(ok, bound - cnt, None if ok else
+                                   f"n={n} edge=({u},{v}) paths={cnt} > {bound}")
+    if "lemma3" in stats and n >= 4:
+        for face in _triangles(rots):
+            a, b, c = sorted(face)
+            cnt = paths[a, b] + paths[b, c] + paths[a, c]
+            bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
+            ok = cnt <= bound
+            stats["lemma3"].record(ok, bound - cnt, None if ok else
+                                   f"n={n} face={face} paths={cnt} > {bound}")
+    if "remark4" in stats:
+        for v, rot in enumerate(rots):
+            ok = all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))
+            stats["remark4"].record(ok, note=None if ok else f"n={n} vertex={v} rotation gap")
+
+
+def _triangles(rots) -> list[tuple[int, int, int]]:
+    """The triangular faces of a rotation system, in face-tracing order.
+
+    With pred_v(w) the neighbour before w around v, the face traced from the
+    dart (v, w) is the triangle (v, w, x) iff x = pred_v(w), v = pred_w(x)
+    and w = pred_x(v).  As the face trace in `embeddings` does, each is
+    listed at its least vertex v, darts in rotation order."""
+    pred = {(v, w): rot[i - 1] for v, rot in enumerate(rots) for i, w in enumerate(rot)}
+    return [(v, w, x) for (v, w), x in pred.items()
+            if v < w and v < x and pred.get((w, x)) == v and pred[x, v] == w]
+
+
+def _sweep(names: tuple[str, ...], items) -> dict[str, LemmaStats]:
+    """The named sweeps over (graph, rotation system or None) pairs."""
+    stats = {name: LemmaStats() for name in names}
+    for g, rots in items:
+        _check(stats, g.n, g.bitrows, rots)
+    return stats
 
 
 def verify_lemma1(graphs) -> LemmaStats:
@@ -200,27 +283,7 @@ def verify_lemma1(graphs) -> LemmaStats:
     formula makes 2m = 3f equivalent to m = 3k - 6).  That holds whether or
     not the host graph is planar.
     """
-    stats = LemmaStats()
-    for g in graphs:
-        rows = g.bitrows
-        for u, v in g.edges():
-            common = rows[u] & rows[v]
-            shape = _path_forest_shape(rows, common)
-            if shape is None:
-                stats.record(False, note=f"n={g.n} edge=({u},{v}): not a path forest")
-                continue
-            f_edges, components = shape
-            size = common.bit_count()
-            single_path = components == 1
-            k = size + 2
-            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
-            ok = tri == single_path
-            stats.record(
-                ok,
-                note=None if ok else f"n={g.n} edge=({u},{v}): "
-                f"triangulation={tri} single_path={single_path}",
-            )
-    return stats
+    return _sweep(("lemma1",), ((g, None) for g in graphs))["lemma1"]
 
 
 def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
@@ -244,28 +307,7 @@ def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | No
 def verify_lemma2(graphs) -> LemmaStats:
     """At most 2(k-3) length-3 paths join the endpoints of any edge of a
     planar graph on k >= 3 vertices."""
-    return _lemma2((g, _paths3(g)) for g in graphs)
-
-
-def _paths3(g: Graph) -> list[int]:
-    return kernels.paths3_per_edge(g.bitrows, g.n)
-
-
-def _lemma2(pairs) -> LemmaStats:
-    """Lemma 2 over (graph, per-edge length-3 path counts) pairs."""
-    stats = LemmaStats()
-    for g, counts in pairs:
-        k = g.n
-        if k < 3:
-            continue
-        bound = 2 * (k - 3)
-        for (u, v), cnt in zip(g.edges(), counts):
-            stats.record(
-                cnt <= bound,
-                slack=bound - cnt,
-                note=f"n={k} edge=({u},{v}) paths={cnt} > {bound}",
-            )
-    return stats
+    return _sweep(("lemma2",), ((g, None) for g in graphs))["lemma2"]
 
 
 def verify_lemma3(embeddings) -> LemmaStats:
@@ -275,62 +317,18 @@ def verify_lemma3(embeddings) -> LemmaStats:
     The face count is the sum of the per-edge length-3 path counts over the
     face's three edges, taken from one `paths3_per_edge` pass per graph.
     """
-    return _lemma3((emb, _paths3(emb.graph)) for emb in embeddings)
-
-
-def _lemma3(pairs) -> LemmaStats:
-    """Lemma 3 over (embedding, per-edge length-3 path counts) pairs."""
-    stats = LemmaStats()
-    for emb, counts in pairs:
-        g = emb.graph
-        k = g.n
-        if k < 4:
-            continue
-        rows = g.bitrows
-        paths = dict(zip(g.edges(), counts))
-        for face in triangular_faces(emb):
-            a, b, c = sorted(face.boundary)
-            cnt = paths[(a, b)] + paths[(b, c)] + paths[(a, c)]
-            bound = 4 * (k - 1) if rows[a] & rows[b] & rows[c] else 4 * k - 9
-            ok = cnt <= bound
-            stats.record(
-                ok,
-                slack=bound - cnt,
-                note=None if ok else f"n={k} face={face.boundary} paths={cnt} > {bound}",
-            )
-    return stats
+    return _sweep(("lemma3",), ((e.graph, e.rotations) for e in embeddings))["lemma3"]
 
 
 def verify_remark4(embeddings) -> LemmaStats:
     """Neighborhoods of triangulation vertices carry a Hamiltonian cycle:
     consecutive rotation neighbors must be adjacent."""
-    stats = LemmaStats()
-    for emb in embeddings:
-        g = emb.graph
-        for v in range(g.n):
-            rot = emb.rotations[v]
-            ok = all(
-                g.has_edge(rot[i], rot[(i + 1) % len(rot)]) for i in range(len(rot))
-            )
-            stats.record(ok, note=f"n={g.n} vertex={v} rotation gap")
-    return stats
+    return _sweep(("remark4",), ((e.graph, e.rotations) for e in embeddings))["remark4"]
 
 
 def verify_lemmas_over(embeddings) -> dict[str, LemmaStats]:
     """All four sweeps; Lemmas 2 and 3 share one `paths3_per_edge` pass."""
-    return {**_lemma_sweeps(embeddings), "remark4": verify_remark4(embeddings)}
-
-
-def _lemma_sweeps(embeddings) -> dict[str, LemmaStats]:
-    """Lemmas 1, 2 and 3 over a sequence of embeddings, with one
-    `paths3_per_edge` pass per graph serving both Lemma 2 and Lemma 3."""
-    graphs = [e.graph for e in embeddings]
-    paths = [_paths3(g) for g in graphs]
-    return {
-        "lemma1": verify_lemma1(graphs),
-        "lemma2": _lemma2(zip(graphs, paths)),
-        "lemma3": _lemma3(zip(embeddings, paths)),
-    }
+    return _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embeddings))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pentaplanar.cli import _parse_range, main
 from pentaplanar.counting import g_formula
+from pentaplanar.families import FAMILY_MAX_N
 from pentaplanar.graphs import GraphError, parse_graph6
 
 
@@ -46,6 +48,20 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "construct", "--family", "dn", "--n", "3")
     assert code == 2
+    # refused by the size cap before any adjacency row is built
+    for fam, n in (("dn", FAMILY_MAX_N + 1), ("en", 10 ** 8)):
+        code, _, err = run(capsys, "construct", "--family", fam, "--n", str(n))
+        assert code == 2 and err.startswith("error:"), (fam, n)
+
+
+def test_worker_and_variant_counts_are_usage_errors(capsys):
+    # refused before any level is built or any pool starts
+    for argv in (("enumerate", "--n", "12", "--workers", "0"),
+                 ("verify", "--n", "12", "--workers", "-1"),
+                 ("verify", "--n", "12", "--variants", "-1"),
+                 ("bench", "--suite", "enumeration", "--n", "12", "--workers", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and out == "", argv
 
 
 def test_count_command(tmp_path, capsys):
@@ -177,6 +193,27 @@ def test_roundtrip_every_family_with_oracle(tmp_path, capsys):
         assert code == 0
         code, _, err = run(capsys, "count", str(path), "--oracle")
         assert code == 0, (fam, n, err)
+
+
+def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch):
+    """verify grows its top level once, so one enumeration pool serves every
+    n; verify_theorem adds one pool per n whose level is large enough."""
+    from pentaplanar import enumeration, verification
+
+    made = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
+    code, out, _ = run(capsys, "verify", "--n", "5..11", "--workers", "2", "--json")
+    assert code == 0 and json.loads(out)["monotonicity"]["passed"]
+    # one pool grows levels 9..11; n = 8..11 have more than 4 * 2 classes
+    assert made == [2] * 5
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

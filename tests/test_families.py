@@ -7,6 +7,7 @@ from pentaplanar.enumeration import corpus
 from pentaplanar.families import (
     EXCEPTIONAL_C5,
     EXCEPTIONAL_VERTICES,
+    FAMILY_MAX_N,
     FamilySpec,
     build_A,
     build_D,
@@ -127,6 +128,8 @@ def test_catalog_rediscovery_is_unambiguous(index):
 def test_family_spec_validation():
     with pytest.raises(GraphError):
         FamilySpec("D", 4)
+    with pytest.raises(GraphError):
+        FamilySpec("E", FAMILY_MAX_N + 1)
     with pytest.raises(GraphError):
         FamilySpec("A", 9)
     with pytest.raises(GraphError):

@@ -21,7 +21,9 @@ from pentaplanar.graphs import (
     is_path_forest,
 )
 from pentaplanar.verification import (
+    MAX_VIOLATION_EXAMPLES,
     LemmaStats,
+    _triangles,
     edge_deleted_variants,
     expected_family_labels,
     expected_max_c5,
@@ -185,6 +187,11 @@ def test_workers_do_not_change_certificates():
     a = verify_theorem(8, workers=1).to_json_dict()
     b = verify_theorem(8, workers=4).to_json_dict()
     assert a == b
+    # the pooled chunks, merged, equal the serial lemma sweeps
+    for n in (8, 9, 10):
+        a = verify_theorem(n, workers=1, include_lemmas=True).to_json_dict()
+        b = verify_theorem(n, workers=2, include_lemmas=True).to_json_dict()
+        assert a == b
 
 
 def test_quadratic_difference_identities():
@@ -331,3 +338,69 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
     assert {k: v.to_json_dict() for k, v in shared.items()} == {
         k: v.to_json_dict() for k, v in separate.items()
     }
+
+
+def _swapped(emb: Embedding, rng: random.Random) -> Embedding:
+    """The embedding with two rotation entries swapped at one vertex of
+    degree >= 3 (a rotation system of the same graph, mostly not spherical)."""
+    rots = [list(r) for r in emb.rotations]
+    v = rng.choice([v for v, r in enumerate(rots) if len(r) >= 3])
+    i, j = rng.sample(range(len(rots[v])), 2)
+    rots[v][i], rots[v][j] = rots[v][j], rots[v][i]
+    return Embedding(emb.graph, rots)
+
+
+def test_rotation_triangles_match_traced_faces():
+    """The triangles read off the rotations are the traced triangular faces,
+    boundaries and order included."""
+    rng = random.Random(37)
+    corpus_embs = [e for n in range(4, 11) for e in corpus(n)]
+    variants = _embedded(edge_deleted_variants(200, seed=23))
+    planar_random = _embedded(_random_graphs(300, seed=29))
+    swapped = [_swapped(e, rng) for e in corpus_embs[:400] + variants]
+    assert any(not e.is_spherical for e in swapped)
+    for embs in (corpus_embs, variants, planar_random, swapped):
+        for emb in embs:
+            assert _triangles(emb.rotations) == [
+                f.boundary for f in triangular_faces(emb)
+            ]
+
+
+def _remark4_reference(embeddings) -> LemmaStats:
+    """Remark 4 per vertex through `Graph.has_edge`."""
+    stats = LemmaStats()
+    for emb in embeddings:
+        g = emb.graph
+        for v, rot in enumerate(emb.rotations):
+            ok = all(g.has_edge(rot[i], rot[(i + 1) % len(rot)]) for i in range(len(rot)))
+            stats.record(ok, note=f"n={g.n} vertex={v} rotation gap")
+    return stats
+
+
+def test_remark4_matches_has_edge_reference():
+    rng = random.Random(41)
+    corpus_embs = [e for n in range(4, 10) for e in corpus(n)]
+    swapped = [_swapped(e, rng) for e in corpus_embs]
+    shuffled = [Embedding(g, [rng.sample(r, len(r)) for r in g.neighbors])
+                for g in _random_graphs(300, seed=29)]
+    for embs in (corpus_embs, swapped, shuffled):
+        assert verify_remark4(embs).to_json_dict() == (
+            _remark4_reference(embs).to_json_dict()
+        )
+    assert verify_remark4(swapped).violations > 0
+
+
+def test_merge_of_split_sweeps_equals_unsplit():
+    """Each sweep split at every cut point and merged back equals the
+    unsplit sweep, violation examples and their cap included."""
+    graphs = _random_graphs(80, seed=31)   # K5, K6, K3,3 first
+    rng = random.Random(31)
+    embs = [Embedding(g, [rng.sample(r, len(r)) for r in g.neighbors]) for g in graphs]
+    for sweep, items in ((verify_lemma1, graphs), (verify_lemma2, graphs),
+                         (verify_lemma3, embs), (verify_remark4, embs)):
+        whole = sweep(items)
+        assert whole.violations > MAX_VIOLATION_EXAMPLES == len(whole.examples)
+        for cut in range(len(items) + 1):
+            left = sweep(items[:cut])
+            left.merge(sweep(items[cut:]))
+            assert left.to_json_dict() == whole.to_json_dict(), (sweep, cut)
