@@ -1,9 +1,10 @@
-"""Exact canonical labeling for arbitrary graphs at desk scale (n <= ~16).
+"""Exact canonical labeling for arbitrary graphs.
 
 Equitable refinement (split cells by neighbor counts into every cell until
 stable) followed by individualization search: branch on each vertex of the
 first non-singleton cell, recurse, and keep the lexicographically smallest
-relabeled adjacency code over all leaves.  Cell selection and refinement are
+relabeled adjacency code over all leaves; of equal codes, the first leaf in
+depth-first order wins.  Cell selection and refinement are
 isomorphism-invariant, so equal canonical forms characterize isomorphism
 exactly; nothing here is probabilistic.
 
@@ -11,6 +12,22 @@ One shortcut tames the symmetric worst cases (complete and empty cells):
 when the stable partition is uniform, i.e. every cell is internally complete
 or empty and every cell pair is fully joined or fully separated, all
 orderings within cells produce the same code, so the search stops there.
+
+Automorphism pruning (McKay 1981; McKay & Piperno 2014) tames the rest,
+such as the double wheels D_n with their 4(n - 2) automorphisms.  A leaf
+whose code equals the first leaf's code or the best leaf's code yields an
+automorphism: the vertex map between the two leaf orders.  At a search node
+whose individualized vertices are fixed pointwise by some of the stored
+automorphisms, a vertex of the target cell is skipped when it lies in the
+orbit of an already explored sibling under the group those automorphisms
+generate.  Such a group maps the node's partition to itself, so it maps the
+subtree of the explored sibling u onto the subtree of the skipped vertex
+gamma(u), leaf for leaf with equal codes.  Hence the first minimum leaf in
+depth-first order of the unpruned search is never pruned: an equal code
+would sit in the earlier subtree of u.  The returned order, not only the
+form, is therefore that of the unpruned search.  No orbit work is done until
+an automorphism fixing the node's prefix has been stored, so asymmetric
+graphs pay only for remembering the first leaf.
 """
 
 from __future__ import annotations
@@ -42,11 +59,12 @@ def canonical_order(g: Graph) -> list[int]:
         by_degree.setdefault(rows[v].bit_count(), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
 
-    best_code: tuple[int, ...] | None = None
-    best_order: list[int] | None = None
+    first: tuple[tuple[int, ...], list[int]] | None = None  # (code, order)
+    best = first
+    autos: list[list[int]] = []  # automorphisms found, as vertex -> image
 
     def consider(order: list[int]) -> None:
-        nonlocal best_code, best_order
+        nonlocal first, best
         inv = {v: i for i, v in enumerate(order)}
         code = []
         for v in order:
@@ -55,31 +73,68 @@ def canonical_order(g: Graph) -> list[int]:
                 acc |= 1 << inv[w]
             code.append(acc)
         tcode = tuple(code)
-        if best_code is None or tcode < best_code:
-            best_code = tcode
-            best_order = order
+        if best is None:
+            first = best = (tcode, order)
+            return
+        for known_code, known in (first, best):
+            if tcode == known_code:
+                gamma = [0] * n
+                for a, b in zip(known, order):
+                    gamma[a] = b
+                autos.append(gamma)
+                return
+        if tcode < best[0]:
+            best = (tcode, order)
 
-    def search(cells: list[list[int]]) -> None:
-        cells = _refine(rows, cells)
+    def search(cells: list[list[int]], fixed: list[int]) -> None:
+        cells, masks = _refine(rows, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if target < 0:
             consider([c[0] for c in cells])
             return
-        if _uniform(rows, cells):
+        if _uniform(rows, cells, masks):
             consider([v for c in cells for v in c])
             return
         cell = cells[target]
+        explored: list[int] = []
+        seen = 0  # automorphisms already folded into `orbit`
+        orbit: list[int] | None = None  # union-find over the vertices
         for v in cell:
+            for gamma in autos[seen:]:
+                if all(gamma[x] == x for x in fixed):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for x, y in enumerate(gamma):
+                        rx, ry = _find(orbit, x), _find(orbit, y)
+                        if rx != ry:
+                            orbit[max(rx, ry)] = min(rx, ry)
+            seen = len(autos)
+            if orbit is not None:
+                root = _find(orbit, v)
+                if any(_find(orbit, u) == root for u in explored):
+                    continue
+            explored.append(v)
             rest = [w for w in cell if w != v]
-            search(cells[:target] + [[v], rest] + cells[target + 1 :])
+            search(cells[:target] + [[v], rest] + cells[target + 1 :], fixed + [v])
 
-    search(cells)
-    assert best_order is not None
-    return best_order
+    search(cells, [])
+    assert best is not None
+    return best[1]
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by per-cell neighbor counts until the partition is stable."""
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find `parent`, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _refine(
+    rows: tuple[int, ...], cells: list[list[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Split cells by per-cell neighbor counts until the partition is stable;
+    return the stable cells and their vertex masks."""
     while True:
         masks = [_mask(c) for c in cells]
         out: list[list[int]] = []
@@ -99,12 +154,11 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                 for sig in sorted(buckets):
                     out.append(buckets[sig])
         if not changed:
-            return cells
+            return cells, masks
         cells = out
 
 
-def _uniform(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
-    masks = [_mask(c) for c in cells]
+def _uniform(rows: tuple[int, ...], cells: list[list[int]], masks: list[int]) -> bool:
     for i, cell in enumerate(cells):
         size = len(cell)
         inner = sum((rows[v] & masks[i]).bit_count() for v in cell)

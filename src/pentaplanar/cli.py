@@ -21,7 +21,7 @@ from .counting import (
     cycle_report,
     SCHEMA_VERSION,
 )
-from .embeddings import Embedding, planar_embed
+from .embeddings import planar_embed
 from .enumeration import (
     MAX_N,
     MIN_N,
@@ -33,9 +33,10 @@ from .enumeration import (
 from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
+    _LEMMAS,
+    _check_level,
+    _edge_deleted_variants,
     _sweep,
-    edge_deleted_variants,
-    verify_lemmas_over,
     verify_monotonicity,
     verify_theorem,
 )
@@ -230,7 +231,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     for n in ns:
         if args.lemmas_only:
-            lemmas = verify_lemmas_over(corpus(n))
+            _, lemmas = _check_level(n, _LEMMAS, args.workers, False)
             rep = {
                 "schema_version": SCHEMA_VERSION,
                 "n": n,
@@ -259,21 +260,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     summary: dict = {"schema_version": SCHEMA_VERSION, "certificates": reports}
     if args.variants:
-        variants = edge_deleted_variants(args.variants, seed=args.seed)
-        embs = [planar_embed(gv) for gv in variants]
-        assert all(isinstance(e, Embedding) for e in embs)
+        # one variant at a time: memory does not grow with --variants;
         # remark4 is a triangulation property and does not apply to variants
+        embs = map(planar_embed, _edge_deleted_variants(args.variants, args.seed))
         lemmas = _sweep(("lemma1", "lemma2", "lemma3"),
                         ((e.graph, e.rotations) for e in embs))
         bad = sum(v.violations for v in lemmas.values())
         failed |= bad > 0
         summary["variants"] = {
-            "count": len(variants),
+            "count": args.variants,
             "seed": args.seed,
             "lemmas": {k: v.to_json_dict() for k, v in lemmas.items()},
         }
         if not args.json:
-            print(f"variants({len(variants)}, seed={args.seed}): violations={bad}")
+            print(f"variants({args.variants}, seed={args.seed}): violations={bad}")
     if not args.lemmas_only:
         mono = verify_monotonicity(samples=200, seed=args.seed)
         summary["monotonicity"] = mono.to_json_dict()

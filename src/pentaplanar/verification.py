@@ -11,17 +11,19 @@ Each class is checked once, by `_check`: its adjacency rows are built
 once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
 `paths3_per_edge` pass.  No face is traced or cached: the facial triangles
 are read off the rotation system (`_triangles`).  Every public sweep is a
-loop over `_check`.  With workers > 1, `verify_theorem` opens one process
-pool per call, when the level has more than 4 * workers classes; each
-worker checks one contiguous chunk of the corpus, and `LemmaStats.merge`
-folds the chunks back in corpus order, so no result depends on the worker
-count.
+loop over `_check`.  `_check_level` runs it over a whole level, for
+`verify_theorem` and for `verify --lemmas-only`: with workers > 1 it opens
+one process pool per call, when the level has more than 4 * workers
+classes; each worker checks one contiguous chunk of the corpus, and
+`LemmaStats.merge` folds the chunks back in corpus order, so no result
+depends on the worker count.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -143,20 +145,7 @@ def verify_theorem(
     if not (5 <= n <= 14):
         raise ValueError(f"verify_theorem supports 5 <= n <= 14, got {n}")
     embs = corpus(n, workers=workers)
-    rotations = [e.rotations for e in embs]
-    names = _LEMMAS if include_lemmas else ()
-    if workers > 1 and len(embs) > 4 * workers:
-        size = -(-len(embs) // workers)
-        chunks = [(rotations[i : i + size], n, names) for i in range(0, len(embs), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_check_chunk, chunks))
-    else:
-        parts = [_check_chunk((rotations, n, names))]
-    counts, lemmas = parts[0]
-    for more_counts, more_lemmas in parts[1:]:
-        counts += more_counts
-        for name, stats in lemmas.items():
-            stats.merge(more_lemmas[name])
+    counts, lemmas = _check_level(n, _LEMMAS if include_lemmas else (), workers, True)
     max_c5 = max(counts)
     arg = [i for i, c in enumerate(counts) if c == max_c5]
     second = max((c for c in counts if c != max_c5), default=None)
@@ -188,14 +177,42 @@ def verify_theorem(
     )
 
 
+def _check_level(
+    n: int, names: tuple[str, ...], workers: int, count: bool
+) -> tuple[list[int], dict[str, LemmaStats]]:
+    """Check every class of corpus(n): the pentagon count per class when
+    `count` is set (else none), and the named sweeps over the level.
+
+    With workers > 1 and more than 4 * workers classes, one process pool
+    checks one contiguous chunk per worker, and the chunks are folded back
+    in corpus order."""
+    rotations = [e.rotations for e in corpus(n, workers=workers)]
+    if workers > 1 and len(rotations) > 4 * workers:
+        size = -(-len(rotations) // workers)
+        chunks = [(rotations[i : i + size], n, names, count)
+                  for i in range(0, len(rotations), size)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_check_chunk, chunks))
+    else:
+        parts = [_check_chunk((rotations, n, names, count))]
+    counts, lemmas = parts[0]
+    for more_counts, more_lemmas in parts[1:]:
+        counts += more_counts
+        for name, stats in lemmas.items():
+            stats.merge(more_lemmas[name])
+    return counts, lemmas
+
+
 def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
-    """Pentagon count per rotation system of a chunk, and the named sweeps."""
-    chunk, n, names = args
+    """Pentagon count per rotation system of a chunk (if asked), and the
+    named sweeps."""
+    chunk, n, names, count = args
     stats = {name: LemmaStats() for name in names}
     counts = []
     for rots in chunk:
         rows = tuple(sum(1 << w for w in rot) for rot in rots)
-        counts.append(kernels.cycle_counts(rows, n)[2])
+        if count:
+            counts.append(kernels.cycle_counts(rows, n)[2])
         _check(stats, n, rows, rots)
     return counts, stats
 
@@ -341,10 +358,17 @@ def edge_deleted_variants(
 ) -> list[Graph]:
     """Seed-pinned random connected planar subgraphs of corpus members,
     obtained by deleting one to three edges from a triangulation."""
+    return list(_edge_deleted_variants(count, seed, n_range))
+
+
+def _edge_deleted_variants(
+    count: int, seed: int, n_range: tuple[int, int] = (5, 12)
+) -> Iterator[Graph]:
+    """`edge_deleted_variants`, one graph at a time."""
     rng = random.Random(seed)
     lo, hi = n_range
-    out: list[Graph] = []
-    while len(out) < count:
+    made = 0
+    while made < count:
         n = rng.randint(lo, hi)
         classes = corpus(n)
         g = classes[rng.randrange(len(classes))].graph
@@ -352,8 +376,8 @@ def edge_deleted_variants(
         drop = {rng.randrange(len(edges)) for _ in range(rng.randint(1, 3))}
         h = Graph(n, [e for i, e in enumerate(edges) if i not in drop])
         if _is_connected(h):
-            out.append(h)
-    return out
+            made += 1
+            yield h
 
 
 @dataclass

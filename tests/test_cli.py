@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pentaplanar.cli import _parse_range, main
 from pentaplanar.counting import g_formula
+from pentaplanar.enumeration import corpus
 from pentaplanar.families import FAMILY_MAX_N
 from pentaplanar.graphs import GraphError, parse_graph6
 
@@ -197,7 +199,8 @@ def test_roundtrip_every_family_with_oracle(tmp_path, capsys):
 
 def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch):
     """verify grows its top level once, so one enumeration pool serves every
-    n; verify_theorem adds one pool per n whose level is large enough."""
+    n; the per-class check adds one pool per n whose level is large enough,
+    with or without --lemmas-only."""
     from pentaplanar import enumeration, verification
 
     made = []
@@ -207,13 +210,39 @@ def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatc
             made.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
-    code, out, _ = run(capsys, "verify", "--n", "5..11", "--workers", "2", "--json")
-    assert code == 0 and json.loads(out)["monotonicity"]["passed"]
-    # one pool grows levels 9..11; n = 8..11 have more than 4 * 2 classes
-    assert made == [2] * 5
+    for lemmas_only in ((), ("--lemmas-only",)):
+        made.clear()
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        code, out, _ = run(capsys, "verify", "--n", "5..11", "--workers", "2",
+                           "--json", *lemmas_only)
+        payload = json.loads(out)
+        assert code == 0 and payload["certificates"][-1]["lemmas"]
+        assert lemmas_only or payload["monotonicity"]["passed"]
+        # one pool grows levels 9..11; n = 8..11 have more than 4 * 2 classes
+        assert made == [2] * 5, lemmas_only
+
+
+def test_variant_sweep_memory_does_not_grow_with_count(capsys):
+    """verify --variants checks one variant at a time: the traced peak for
+    2000 variants stays within 1.5x of the peak for 200."""
+    corpus(12)  # the variants come from the cached levels 5..12
+    # fill CPython's tuple free lists first: tracemalloc counts their blocks,
+    # so without this the peak would grow with them up to their cap
+    spare = [tuple(range(k)) for k in range(1, 21) for _ in range(2000)]
+    del spare
+    peaks = {}
+    for count in (200, 2000):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "verify", "--n", "5", "--lemmas-only",
+                               "--variants", str(count), "--json", "--workers", "1")
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["variants"]["count"] == count
+    assert peaks[2000] <= 1.5 * peaks[200], peaks
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
