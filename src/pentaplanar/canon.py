@@ -87,7 +87,7 @@ def canonical_order(g: Graph) -> list[int]:
             best = (tcode, order)
 
     def search(cells: list[list[int]], fixed: list[int]) -> None:
-        cells, masks = _refine(rows, cells)
+        cells, masks = _refine(g.neighbors, cells)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), -1)
         if target < 0:
             consider([c[0] for c in cells])
@@ -131,12 +131,21 @@ def _find(parent: list[int], x: int) -> int:
 
 
 def _refine(
-    rows: tuple[int, ...], cells: list[list[int]]
+    nbrs: tuple[tuple[int, ...], ...], cells: list[list[int]]
 ) -> tuple[list[list[int]], list[int]]:
     """Split cells by per-cell neighbor counts until the partition is stable;
-    return the stable cells and their vertex masks."""
+    return the stable cells and their vertex masks.
+
+    A vertex's signature counts its neighbors into each cell of the round,
+    read off the round's vertex -> cell index, so it costs its degree
+    rather than one popcount per cell.
+    """
+    cell_of = [0] * len(nbrs)
     while True:
-        masks = [_mask(c) for c in cells]
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        k = len(cells)
         out: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -145,8 +154,10 @@ def _refine(
                 continue
             buckets: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                sig = tuple((rows[v] & m).bit_count() for m in masks)
-                buckets.setdefault(sig, []).append(v)
+                sig = [0] * k
+                for w in nbrs[v]:
+                    sig[cell_of[w]] += 1
+                buckets.setdefault(tuple(sig), []).append(v)
             if len(buckets) == 1:
                 out.append(cell)
             else:
@@ -154,7 +165,7 @@ def _refine(
                 for sig in sorted(buckets):
                     out.append(buckets[sig])
         if not changed:
-            return cells, masks
+            return cells, [_mask(c) for c in cells]
         cells = out
 
 

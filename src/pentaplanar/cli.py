@@ -226,7 +226,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else " (use --allow-big for 13..14)")
         )
-    corpus(ns[-1], workers=args.workers)  # grow every level in one pass
+    # grow every level in one pass, including the levels up to n = 12 that
+    # --variants samples, so one pool of --workers builds them all
+    corpus(max(ns[-1], 12) if args.variants else ns[-1], workers=args.workers)
     failed = False
     reports = []
     for n in ns:

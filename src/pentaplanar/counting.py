@@ -1,10 +1,12 @@
 """Exact counters for the bounded quantities: k-cycles for k <= 5, length-3
 paths between vertex pairs, and length-3 paths anchored on a triangle.
 
-`count_cycles` is the production counter (bit-parallel, per-edge path
-decomposition).  `count_cycles_bruteforce` re-counts by exhaustive ordered
-walk enumeration and exists purely as an independent oracle; it must never
-share code with the production path.
+`count_cycles` is the production counter: per-edge path counts, summed
+over the edges.  The compiled kernels enumerate the paths over bitmask
+rows; the pure `cycle_counts` and `c5_per_edge` count them in closed form
+from bit-sliced codegrees (see `_purekern`).  `count_cycles_bruteforce`
+re-counts by exhaustive ordered walk enumeration and exists purely as an
+independent oracle; it must never share code with the production path.
 """
 
 from __future__ import annotations

@@ -197,10 +197,10 @@ def test_roundtrip_every_family_with_oracle(tmp_path, capsys):
         assert code == 0, (fam, n, err)
 
 
-def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch):
-    """verify grows its top level once, so one enumeration pool serves every
-    n; the per-class check adds one pool per n whose level is large enough,
-    with or without --lemmas-only."""
+@pytest.fixture
+def pools(monkeypatch):
+    """Record the max_workers of every process pool that enumeration or
+    verification opens, on a fresh level cache."""
     from pentaplanar import enumeration, verification
 
     made = []
@@ -212,8 +212,18 @@ def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatc
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    return made
+
+
+def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch, pools):
+    """verify grows its top level once, so one enumeration pool serves every
+    n; the per-class check adds one pool per n whose level is large enough,
+    with or without --lemmas-only."""
+    from pentaplanar import enumeration
+
     for lemmas_only in ((), ("--lemmas-only",)):
-        made.clear()
+        pools.clear()
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         code, out, _ = run(capsys, "verify", "--n", "5..11", "--workers", "2",
                            "--json", *lemmas_only)
@@ -221,7 +231,17 @@ def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatc
         assert code == 0 and payload["certificates"][-1]["lemmas"]
         assert lemmas_only or payload["monotonicity"]["passed"]
         # one pool grows levels 9..11; n = 8..11 have more than 4 * 2 classes
-        assert made == [2] * 5, lemmas_only
+        assert pools == [2] * 5, lemmas_only
+
+
+def test_verify_variants_grow_their_levels_in_one_pool(capsys, pools):
+    """--variants samples the levels up to n = 12; verify grows them with
+    --workers, in the same single enumeration pool as the checked levels."""
+    code, out, _ = run(capsys, "verify", "--n", "5", "--lemmas-only",
+                       "--variants", "20", "--workers", "2", "--json")
+    assert code == 0 and json.loads(out)["variants"]["count"] == 20
+    # one pool grows levels 9..12; the single class at n = 5 needs no check pool
+    assert pools == [2]
 
 
 def test_variant_sweep_memory_does_not_grow_with_count(capsys):

@@ -1,15 +1,19 @@
 """Backend parity: the compiled extension and the pure-Python fallback must
 be indistinguishable on every kernel.  The pure canonical embedding code is
 also checked against a full-minimum reference that has neither early abort
-nor start-edge pruning."""
+nor start-edge pruning, and the pure closed-form cycle counts against the
+5-path loop they replaced."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
 from pentaplanar import kernels
 from pentaplanar.enumeration import corpus, split_vertex
+from pentaplanar.families import build_D, build_E
+from pentaplanar.graphs import Graph, complete_graph
 
 from .conftest import graphs
 
@@ -24,23 +28,50 @@ def fast():
     return kernels._fastkern
 
 
-@needs_compiled
-@given(graphs(max_n=13))
-def test_cycle_counts_parity(g):
+def _families(max_n):
+    for n in range(5, max_n + 1):
+        yield build_D(n)
+        yield build_E(n)
+
+
+def _assert_cycle_counts_parity(g):
     assert pure.cycle_counts(g.bitrows, g.n) == tuple(
         int(x) for x in fast().cycle_counts(g.bitrows, g.n)
     )
 
 
-@needs_compiled
-@given(graphs(max_n=13))
-def test_per_edge_parity(g):
+def _assert_per_edge_parity(g):
     assert pure.c5_per_edge(g.bitrows, g.n) == [
         int(x) for x in fast().c5_per_edge(g.bitrows, g.n)
     ]
     assert pure.paths3_per_edge(g.bitrows, g.n) == [
         int(x) for x in fast().paths3_per_edge(g.bitrows, g.n)
     ]
+
+
+@needs_compiled
+@given(graphs(max_n=13))
+def test_cycle_counts_parity(g):
+    _assert_cycle_counts_parity(g)
+
+
+@needs_compiled
+def test_cycle_counts_parity_on_families():
+    # up to the compiled backend's 64-vertex limit; high-degree apexes
+    for g in _families(64):
+        _assert_cycle_counts_parity(g)
+
+
+@needs_compiled
+@given(graphs(max_n=13))
+def test_per_edge_parity(g):
+    _assert_per_edge_parity(g)
+
+
+@needs_compiled
+def test_per_edge_parity_on_families():
+    for g in _families(64):
+        _assert_per_edge_parity(g)
 
 
 @needs_compiled
@@ -167,3 +198,96 @@ def test_min_code_requires_connected():
         pure.embedding_min_code(((), ()), 2)
     with pytest.raises(ValueError):
         pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
+
+
+# The pure cycle_counts and c5_per_edge count in closed form; these are the
+# loops they replaced, kept verbatim as references.
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _cycle_counts_reference(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
+    """Exact numbers of 3-, 4- and 5-cycles via per-edge path counting."""
+    t3 = t4 = t5 = 0
+    for u in range(n):
+        ru = rows[u]
+        for v in _bits(ru >> (u + 1) << (u + 1)):
+            rv = rows[v]
+            t3 += (ru & rv).bit_count()
+            mask_u = ~(1 << u)
+            mask_uv = mask_u & ~(1 << v)
+            for a in _bits(ru & ~(1 << v)):
+                ra = rows[a]
+                t4 += (ra & rv & mask_u).bit_count()
+                not_a = mask_uv & ~(1 << a)
+                for c in _bits(rv & mask_u & ~(1 << a)):
+                    t5 += (ra & rows[c] & not_a).bit_count()
+    return t3 // 3, t4 // 4, t5 // 5
+
+
+def _c5_per_edge_reference(rows: tuple[int, ...], n: int) -> list[int]:
+    """For each edge {u,v}: number of 5-cycles using that edge."""
+    out = []
+    for u in range(n):
+        ru = rows[u]
+        for v in _bits(ru >> (u + 1) << (u + 1)):
+            rv = rows[v]
+            mask_uv = ~(1 << u) & ~(1 << v)
+            total = 0
+            for a in _bits(ru & ~(1 << v)):
+                ra = rows[a]
+                not_a = mask_uv & ~(1 << a)
+                for c in _bits(rv & ~(1 << u) & ~(1 << a)):
+                    total += (ra & rows[c] & not_a).bit_count()
+            out.append(total)
+    return out
+
+
+def _assert_closed_forms(g):
+    rows, n = g.bitrows, g.n
+    assert pure.c5_per_edge(rows, n) == _c5_per_edge_reference(rows, n), g.edges()
+    assert pure.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
+
+
+def test_closed_forms_match_loop_on_corpus():
+    for n in range(4, 11):
+        for emb in corpus(n):
+            _assert_closed_forms(emb.graph)
+
+
+def test_closed_forms_match_loop_on_families():
+    # D_n and E_n cross the 64-bit row boundary; the apexes of D_80 have
+    # codegree 78 with each other, which takes seven planes
+    for g in _families(80):
+        _assert_closed_forms(g)
+
+
+def test_closed_forms_match_loop_on_random_graphs():
+    # p spans (0, 1); n is capped at 20 p^(-3/4), which bounds the loop
+    # reference's cost (about n^4 p^3) per graph and lets sparse graphs
+    # reach n = 80
+    rng = random.Random(8)
+    for _ in range(300):
+        p = rng.random()
+        n = rng.randint(0, min(80, int(20 * p ** -0.75)))
+        pairs = combinations(range(n), 2)
+        _assert_closed_forms(Graph(n, [e for e in pairs if rng.random() < p]))
+
+
+def test_closed_forms_match_loop_on_tiny_and_complete_graphs():
+    for n in range(4):
+        pairs = list(combinations(range(n), 2))
+        for keep in range(1 << len(pairs)):
+            _assert_closed_forms(Graph(n, [e for i, e in enumerate(pairs) if keep >> i & 1]))
+    for n in range(1, 13):
+        _assert_closed_forms(complete_graph(n))
+
+
+@given(graphs(max_n=13))
+def test_closed_forms_match_loop(g):
+    _assert_closed_forms(g)
