@@ -32,14 +32,13 @@ graphs pay only for remembering the first leaf.
 
 from __future__ import annotations
 
-from .graphs import Graph, to_graph6
+from .graphs import Graph, _graph6
 
 
 def canonical_form(g: Graph) -> str:
-    """graph6 string of the canonically relabeled graph."""
-    order = canonical_order(g)
-    perm = {v: i for i, v in enumerate(order)}
-    return to_graph6(g.relabel(perm))
+    """graph6 string of the canonically relabeled graph, encoded from the
+    winning leaf's code, which is that graph's adjacency rows."""
+    return _graph6(g.n, _canonical_leaf(g)[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -50,9 +49,15 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def canonical_order(g: Graph) -> list[int]:
     """Vertex order realizing the canonical labeling (position -> vertex)."""
+    return _canonical_leaf(g)[1]
+
+
+def _canonical_leaf(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """The winning leaf: its code (row i is the neighbor mask of position i
+    in the relabeled graph) and its vertex order."""
     n = g.n
     if n == 0:
-        return []
+        return (), []
     rows = g.bitrows
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -119,7 +124,7 @@ def canonical_order(g: Graph) -> list[int]:
 
     search(cells, [])
     assert best is not None
-    return best[1]
+    return best
 
 
 def _find(parent: list[int], x: int) -> int:

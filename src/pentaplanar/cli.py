@@ -21,7 +21,6 @@ from .counting import (
     cycle_report,
     SCHEMA_VERSION,
 )
-from .embeddings import planar_embed
 from .enumeration import (
     MAX_N,
     MIN_N,
@@ -35,8 +34,7 @@ from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_g
 from .verification import (
     _LEMMAS,
     _check_level,
-    _edge_deleted_variants,
-    _sweep,
+    _check_variants,
     verify_monotonicity,
     verify_theorem,
 )
@@ -262,11 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     summary: dict = {"schema_version": SCHEMA_VERSION, "certificates": reports}
     if args.variants:
-        # one variant at a time: memory does not grow with --variants;
-        # remark4 is a triangulation property and does not apply to variants
-        embs = map(planar_embed, _edge_deleted_variants(args.variants, args.seed))
-        lemmas = _sweep(("lemma1", "lemma2", "lemma3"),
-                        ((e.graph, e.rotations) for e in embs))
+        lemmas = _check_variants(args.variants, args.seed, args.workers)
         bad = sum(v.violations for v in lemmas.values())
         failed |= bad > 0
         summary["variants"] = {

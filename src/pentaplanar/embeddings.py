@@ -10,22 +10,30 @@ so every directed edge lies on exactly one facial walk.
 rotations at cut vertices.  Faces are maintained as directed cycles during
 the insertion, which makes the final rotation system a one-pass read-off.
 
-Fragment bookkeeping.  The block's edges are sorted once; the list of edges
-not yet embedded shrinks by each inserted path.  Adjacency, the embedded
-subgraph H and every face are vertex bitmasks, so a fragment with
-attachment mask `att` fits a face exactly when `att & ~face_mask == 0`.
-Fragments are produced lazily in a fixed order: chords by (u, v), then
-bridges by their smallest vertex.  Each step takes the first fragment with
-the fewest admissible faces and places it in the first of them; the scan
-stops at the first fragment with no face (not planar) or with exactly one
-(forced).  Because that order and those rules fix every choice, the
-rotations and the NotPlanar reasons depend only on the input graph.
+Fragment bookkeeping.  Adjacency, the embedded subgraph H and every face are
+vertex bitmasks; a fragment with attachments `att` fits a face exactly when
+`att & ~face_mask == 0`.  The fragments persist across insertions in two
+sorted lists, chords by (u, v) and bridges by least vertex, each carrying
+its attachment and interior masks and the mask of the faces it fits.  When
+a path splits face F into F and a new face k, no other face changes, so
+only the fragments that fitted F are retested, against F and k; one that
+did not fit F cannot fit k, whose only vertices outside F are the path's
+inner ones, and those touched no fragment but the embedded bridge.  The new
+fragments, that bridge's remaining edges to H and its sub-bridges, each
+attach at an inner path vertex (its interior was connected), which lies on
+F and k only.  A step scans chords, then bridges, stops at the first
+fragment with no face (not planar) or one face (forced), else takes the
+first with the fewest faces, and uses its lowest face.  The lists match a
+rebuild from scratch in content and order, so every choice, hence the
+rotations and the NotPlanar reasons, depends only on the input graph.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _bits, _flood
@@ -77,29 +85,27 @@ class Embedding:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
+        return tuple(Face(tuple(walk)) for walk in self._walks())
+
+    def _walks(self) -> Iterator[list[int]]:
+        """The facial walks, each from its first dart in vertex order."""
         rots = self.rotations
-        pos = [{u: i for i, u in enumerate(rot)} for rot in rots]
-        seen: set[tuple[int, int]] = set()
-        faces = []
-        for a in range(self.graph.n):
-            for b in rots[a]:
-                if (a, b) in seen:
-                    continue
-                walk = []
-                u, v = a, b
-                while (u, v) not in seen:
-                    seen.add((u, v))
+        # succ[v][u]: the vertex after u around v, popped once (u, v) is traced
+        succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rots]
+        for a, rot in enumerate(rots):
+            for b in rot:
+                walk, u, v = [], a, b
+                while u in succ[v]:
                     walk.append(u)
-                    rot_v = rots[v]
-                    u, v = v, rot_v[(pos[v][u] + 1) % len(rot_v)]
-                faces.append(Face(tuple(walk)))
-        return tuple(faces)
+                    u, v = v, succ[v].pop(u)
+                if walk:
+                    yield walk
 
     @cached_property
     def is_spherical(self) -> bool:
         """Euler check n - m + f = 2, applied to every connected component."""
         rows = self.graph.bitrows
-        starts = [face.boundary[0] for face in self.faces]
+        starts = [walk[0] for walk in self._walks()]
         rest = (1 << self.graph.n) - 1
         while rest:
             comp = _flood(rows, rest & -rest, rest)
@@ -154,14 +160,13 @@ def planar_embed(g: Graph) -> Embedding | NotPlanar:
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
     """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    disc, low, tick = [-1] * g.n, [0] * g.n, count()
     edge_stack: list[tuple[int, int]] = []
     blocks: list[list[tuple[int, int]]] = []
     for root in range(g.n):
-        if root in disc:
+        if disc[root] >= 0:
             continue
-        disc[root] = low[root] = len(disc)
+        disc[root] = low[root] = next(tick)
         dfs = [(root, -1, iter(g.neighbors[root]))]
         while dfs:
             v, parent, it = dfs[-1]
@@ -169,9 +174,9 @@ def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
             for w in it:
                 if w == parent:
                     continue
-                if w not in disc:
+                if disc[w] < 0:
                     edge_stack.append((v, w))
-                    disc[w] = low[w] = len(disc)
+                    disc[w] = low[w] = next(tick)
                     dfs.append((w, v, iter(g.neighbors[w])))
                     pushed = True
                     break
@@ -201,51 +206,73 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
     for u, v in block_edges:
         adj[u] = adj.get(u, 0) | 1 << v
         adj[v] = adj.get(v, 0) | 1 << u
-    block_mask = _mask(adj)
 
     cycle = _find_cycle(adj)
     faces: list[list[int]] = [list(cycle), list(reversed(cycle))]
     h_mask = _mask(cycle)
     face_masks = [h_mask, h_mask]
-    rest = sorted((u, v) if u < v else (v, u) for u, v in block_edges)
-    rest = _drop_path_edges(rest, cycle + cycle[:1])
+    # records [key, attachments, interior, face mask]; the cycle enters as a
+    # walk that split face 0 into faces 0 and 1, all of it new to H
+    chords: list[list] = []
+    bridges: list[list] = []
+    face, walk, inside = 0, [cycle[-1], *cycle, cycle[0]], _mask(adj) & ~h_mask
+    while True:
+        # new fragments: edges from the walk's inner vertices to H, sub-bridges
+        inner = _mask(walk[1:-1])
+        for i in range(1, len(walk) - 1):
+            x = walk[i]
+            for y in _bits(adj[x] & h_mask & ~(1 << walk[i - 1] | 1 << walk[i + 1])):
+                if not (inner >> y & 1 and y < x):
+                    e = (x, y) if x < y else (y, x)
+                    insort(chords, [e, 1 << x | 1 << y, 0, 1 << face])
+        for frag in _bridges(adj, inside, h_mask, 1 << face):
+            insort(bridges, frag)
+        # the split face and the new face k are the only faces that changed
+        k = len(faces) - 1
+        fm, fk = face_masks[face], face_masks[k]
+        for frag in chords + bridges:
+            adm = frag[3]
+            if adm >> face & 1:
+                att = frag[1]
+                frag[3] = (adm ^ 1 << face | (not att & ~fm) << face
+                           | (not att & ~fk) << k)
+        if not (chords or bridges):
+            break
 
-    while rest:
-        chosen: tuple[int, int, int, int] | None = None
-        for att, interior in _fragments(adj, block_mask, rest, h_mask):
-            admissible = [i for i, fm in enumerate(face_masks) if not att & ~fm]
-            if not admissible:
+        chosen: list | None = None
+        for frag in chords + bridges:
+            adm = frag[3]
+            if not adm:
                 return NotPlanar(
-                    f"fragment attached at {list(_bits(att))} fits no face"
+                    f"fragment attached at {list(_bits(frag[1]))} fits no face"
                 )
-            if chosen is None or len(admissible) < chosen[0]:
-                chosen = (len(admissible), att, interior, admissible[0])
-                if chosen[0] == 1:
+            if chosen is None or adm.bit_count() < chosen[3].bit_count():
+                chosen = frag
+                if adm & (adm - 1) == 0:
                     # forced placement; no better choice can exist
                     break
         assert chosen is not None
-        _, att, interior, face = chosen
-        path = _alpha_path(adj, att, interior)
-        _insert_path(faces, face, path)
-        face_masks[face] = _mask(faces[face])
+        _, att, interior, adm = chosen
+        face = (adm & -adm).bit_length() - 1
+        (bridges if interior else chords).remove(chosen)
+        walk = _alpha_path(adj, att, interior)
+        _insert_path(faces, face, walk)
+        # faces are cycles: the old face and the new one share only a and b
+        walk_mask = _mask(walk)
         face_masks.append(_mask(faces[-1]))
-        h_mask |= _mask(path)
-        rest = _drop_path_edges(rest, path)
+        face_masks[face] = face_masks[face] & ~face_masks[-1] | walk_mask
+        h_mask |= walk_mask
+        inside = interior & ~h_mask
 
     succ: dict[int, dict[int, int]] = {v: {} for v in adj}
-    for face in faces:
-        size = len(face)
-        for t in range(size):
-            u, v, w = face[t], face[(t + 1) % size], face[(t + 2) % size]
+    for f in faces:
+        for u, v, w in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
             succ[v][u] = w
     rotations: dict[int, list[int]] = {}
     for v, nxt in succ.items():
-        start = next(iter(nxt))
-        cyc = [start]
-        cur = nxt[start]
-        while cur != start:
+        cyc = [next(iter(nxt))]
+        while (cur := nxt[cyc[-1]]) != cyc[0]:
             cyc.append(cur)
-            cur = nxt[cur]
         if len(cyc) != adj[v].bit_count():
             raise AssertionError("face structure does not close into a rotation")
         rotations[v] = cyc
@@ -259,31 +286,25 @@ def _mask(vertices: Iterable[int]) -> int:
     return mask
 
 
-def _drop_path_edges(
-    rest: list[tuple[int, int]], path: list[int]
-) -> list[tuple[int, int]]:
-    """The edges of `rest` (sorted pairs) that are not edges of the walk."""
-    done = {(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])}
-    return [e for e in rest if e not in done]
-
-
-def _fragments(
-    adj: dict[int, int], block_mask: int, rest: list[tuple[int, int]], h_mask: int
-) -> Iterator[tuple[int, int]]:
-    """The fragments of the block relative to H, as (attachments, interior)
-    vertex masks, lazily: chords (interior 0) in (u, v) order, then the
-    bridges in order of their smallest vertex."""
-    for u, v in rest:
-        if h_mask >> u & 1 and h_mask >> v & 1:
-            yield 1 << u | 1 << v, 0
-    outside = block_mask & ~h_mask
+def _bridges(
+    adj: dict[int, int], outside: int, h_mask: int, fits: int
+) -> Iterator[list]:
+    """Bridge records for the components of `outside` (vertices off H) by
+    least vertex; one flood gathers a component and its neighbourhood."""
     while outside:
-        interior = _flood(adj, outside & -outside, outside)
-        outside ^= interior
-        reach = 0
-        for x in _bits(interior):
-            reach |= adj[x]
-        yield reach & h_mask, interior
+        low = outside & -outside
+        comp = frontier = reach = low
+        while frontier:
+            grow = 0
+            while frontier:
+                w = frontier & -frontier
+                grow |= adj[w.bit_length() - 1]
+                frontier ^= w
+            reach |= grow
+            frontier = grow & outside & ~comp
+            comp |= frontier
+        outside ^= comp
+        yield [low.bit_length() - 1, reach & h_mask, comp, fits]
 
 
 def _find_cycle(adj: dict[int, int]) -> list[int]:
@@ -317,27 +338,27 @@ def _find_cycle(adj: dict[int, int]) -> list[int]:
 
 def _alpha_path(adj: dict[int, int], att: int, interior: int) -> list[int]:
     """A path between two distinct attachments through the fragment interior
-    (the chord itself when the interior is empty)."""
+    (the chord itself when the interior is empty), breadth-first from the
+    least attachment."""
     if not interior:
         return list(_bits(att))
     a = (att & -att).bit_length() - 1
-    parent: dict[int, int] = {}
-    queue = list(_bits(adj[a] & interior))
+    others = att ^ 1 << a
+    seen = adj[a] & interior
+    queue = list(_bits(seen))
+    parent = dict.fromkeys(queue, -1)
     for x in queue:
-        parent[x] = -1
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for b in _bits(adj[x]):
-            if att >> b & 1 and b != a:
-                rev = [x]
-                while parent[rev[-1]] != -1:
-                    rev.append(parent[rev[-1]])
-                return [a] + list(reversed(rev)) + [b]
-            if interior >> b & 1 and b not in parent:
-                parent[b] = x
-                queue.append(b)
+        hit = adj[x] & others
+        if hit:
+            rev = [x]
+            while parent[rev[-1]] != -1:
+                rev.append(parent[rev[-1]])
+            return [a, *reversed(rev), (hit & -hit).bit_length() - 1]
+        new = adj[x] & interior & ~seen
+        seen |= new
+        for b in _bits(new):
+            parent[b] = x
+            queue.append(b)
     raise AssertionError("fragment with a single attachment inside a biconnected block")
 
 

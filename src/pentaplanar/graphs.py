@@ -13,7 +13,7 @@ object; an induced subgraph also returns its relabeling map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphError(ValueError):
@@ -214,20 +214,17 @@ GRAPH6_HEADER = ">>graph6<<"
 
 def to_graph6(g: Graph) -> str:
     """Encode as graph6: 6-bit chunks of the column-major upper triangle."""
-    out = _encode_g6_size(g.n)
-    bits: list[int] = []
-    for v in range(1, g.n):
-        row = g.bitrows[v]
-        for u in range(v):
-            bits.append(row >> u & 1)
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(val + 63)
-    return bytes(out).decode("ascii")
+    return _graph6(g.n, g.bitrows)
+
+
+def _graph6(n: int, rows: Sequence[int]) -> str:
+    """graph6 of the graph on 0..n-1 with adjacency bit rows `rows`: column v
+    is bits 0..v-1 of rows[v], least vertex first."""
+    bits = "".join(format(rows[v] & ~(-1 << v), f"0{v}b")[::-1]
+                   for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return (_encode_g6_size(n) + body).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -133,6 +133,23 @@ def _relabeled(g: Graph, rng: random.Random) -> Graph:
     return g.relabel(perm)
 
 
+def test_form_is_the_graph6_of_the_canonical_relabeling():
+    # canonical_form encodes the winning leaf's code rows directly; they
+    # must be the rows of the graph relabeled by canonical_order
+    rng = random.Random(37)
+    graphs = [e.graph for n in range(4, 10) for e in corpus(n)]
+    graphs += [_relabeled(build(n), rng) for build in (build_D, build_E)
+               for n in range(5, 61)]
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        p = rng.uniform(0.2, 0.8)
+        graphs.append(Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                if rng.random() < p]))
+    for g in graphs:
+        perm = {v: i for i, v in enumerate(canonical_order(g))}
+        assert canonical_form(g) == to_graph6(g.relabel(perm)), to_graph6(g)
+
+
 def test_pinned_corpus_form_digests():
     for n, digest in CORPUS_FORM_DIGESTS.items():
         lines = sorted(canonical_form(e.graph) for e in corpus(n))

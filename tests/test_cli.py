@@ -244,6 +244,18 @@ def test_verify_variants_grow_their_levels_in_one_pool(capsys, pools):
     assert pools == [2]
 
 
+def test_verify_variants_check_in_one_pool_with_worker_independent_output(capsys, pools):
+    """Above 100 variants per worker, --variants embeds and checks them in
+    one process pool, and the output equals the serial run's."""
+    args = ("verify", "--n", "5", "--lemmas-only", "--variants", "300", "--json")
+    code, serial, _ = run(capsys, *args, "--workers", "1")
+    assert code == 0 and pools == []
+    code, pooled, _ = run(capsys, *args, "--workers", "2")
+    # the levels are cached by now, so the one pool is the variant sweep's
+    assert code == 0 and pools == [2]
+    assert pooled == serial
+
+
 def test_variant_sweep_memory_does_not_grow_with_count(capsys):
     """verify --variants checks one variant at a time: the traced peak for
     2000 variants stays within 1.5x of the peak for 200."""

@@ -372,6 +372,32 @@ def _triangulation_variants(count, seed):
     return out
 
 
+def _query_shaped(count, seed):
+    """Graphs shaped like the query stream: `D_n` and `E_n` for n = 5..60
+    under a random relabeling, and `count` random triangulations with
+    n = 30..60, each with one or two edges deleted and then one absent edge
+    added.  Those keep m <= 3n - 6, so the embedder runs, and nearly all of
+    them end at a fragment that fits no face, on average after about twenty
+    path insertions."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(5, 61):
+        for build in (build_D, build_E):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            out.append(build(n).relabel(perm))
+    for _ in range(count):
+        n = rng.randint(30, 60)
+        edges = _random_triangulation(n, rng)
+        rng.shuffle(edges)
+        for k in (1, 2):
+            present = set(edges[k:])
+            absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if (u, v) not in present]
+            out.append(Graph(n, edges[k:] + [rng.choice(absent)]))
+    return out
+
+
 def _gnp_graphs(count, seed):
     rng = random.Random(seed)
     out = []
@@ -388,10 +414,14 @@ def test_embedder_matches_reference_route():
     corpus_graphs = [e.graph for n in range(4, 10) for e in corpus(n)]
     variants = _triangulation_variants(40, seed=5)
     gnp = _gnp_graphs(400, seed=11)
-    for graphs in (corpus_graphs, families, variants, gnp):
+    query = _query_shaped(60, seed=13)
+    for graphs in (corpus_graphs, families, variants, gnp, query):
         for g in graphs:
             assert _embed_outcome(g) == _ref_planar_embed(g), g.edges()
     # both outcomes, and the fragment-level rejection, are reached
     reasons = [_embed_outcome(g) for g in variants + gnp]
     assert any("fits no face" in r for r in reasons if isinstance(r, str))
     assert sum(isinstance(r, tuple) for r in reasons) > 100
+    # ... and on the query-shaped graphs, well above the G(n, p) sizes
+    late = [_embed_outcome(g) for g in query]
+    assert sum("fits no face" in r for r in late if isinstance(r, str)) > 100
