@@ -25,6 +25,7 @@ from .enumeration import (
     MAX_N,
     MIN_N,
     corpus,
+    corpus_codes,
     corpus_graph6,
     _certificate,
     _grow,
@@ -226,7 +227,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     # grow every level in one pass, including the levels up to n = 12 that
     # --variants samples, so one pool of --workers builds them all
-    corpus(max(ns[-1], 12) if args.variants else ns[-1], workers=args.workers)
+    corpus_codes(max(ns[-1], 12) if args.variants else ns[-1], workers=args.workers)
     failed = False
     reports = []
     for n in ns:
@@ -328,7 +329,7 @@ def _bench_enumeration(n: int, workers: int) -> dict:
     if not (MIN_N <= n <= MAX_N):
         raise GraphError(f"--n must be in {MIN_N}..{MAX_N}")
     t0 = time.perf_counter()
-    level = corpus(MIN_N)
+    level = corpus_codes(MIN_N)
     for level in _grow(level, n, workers):
         pass
     dt = time.perf_counter() - t0

@@ -29,13 +29,23 @@ arc endpoints), so the strict comparison never rejects it against itself;
 ties between equally small edges keep several children of one class, which
 the code set merges.
 
-One builder, `_grow`, turns a level into the next ones; `corpus` uses it to
-fill only the levels its process-lifetime cache lacks.  With workers > 1 it
-opens a single process pool per call, at the first level whose parents
-outnumber 4 * workers, and keeps it for the remaining levels.  Each level is
-handed to the pool as 4 * workers interleaved batches (parents[k::4 *
-workers]), not one contiguous stretch of the sorted level per worker; the
-batch code sets are merged and sorted, so the result does not depend on the
+A level is the sorted tuple of its classes' flat canonical codes (per
+vertex, its degree and then its neighbours in rotation order), as
+`embedding_min_code` returns them; `_code_rotations` is the one decoder.
+The codes are all that is kept.  The next level, the per-class checks in
+`verification` and the graph6 dump read the rotation system or the bit
+rows straight off a code; an `Embedding` (with its validated `Graph`) is
+built by `code_to_embedding` only where a caller asks for one: `corpus`,
+a visitor, and the classes `verification` draws or reports.
+
+One builder, `_grow`, turns a level into the next ones; `corpus_codes` uses
+it to fill only the levels its process-lifetime cache (`_LEVELS`) lacks.
+With workers > 1 it opens a single process pool per call, at the first
+level whose parents outnumber 4 * workers, and keeps it for the remaining
+levels.  Each level is handed to the pool as 4 * workers interleaved
+batches of codes (parents[k::4 * workers]), not one contiguous stretch of
+the sorted level per worker, and each worker decodes its parents; the batch
+code sets are merged and sorted, so the result does not depend on the
 worker count.
 
 Correctness is defined by oracle equivalence: `bruteforce_triangulations`
@@ -55,7 +65,7 @@ from typing import Callable, Iterable, Iterator
 from . import kernels
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
-from .graphs import Graph, GraphError, _bits, to_graph6
+from .graphs import Graph, GraphError, _bits, _graph6
 
 SCHEMA_VERSION = 1
 
@@ -98,19 +108,27 @@ def canonical_code(emb: Embedding) -> tuple[int, ...]:
     return kernels.embedding_min_code(emb.rotations, emb.graph.n)
 
 
-def code_to_embedding(code: tuple[int, ...]) -> Embedding:
-    """Rebuild the canonically labeled embedding encoded by a flat code."""
+def _code_rotations(code: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rotation system a flat code encodes: per vertex, its degree and
+    then its neighbours in rotation order."""
     rotations = []
     pos = 0
     while pos < len(code):
         d = code[pos]
-        rotations.append(tuple(code[pos + 1 : pos + 1 + d]))
+        rotations.append(code[pos + 1 : pos + 1 + d])
         pos += 1 + d
-    n = len(rotations)
-    edges = sorted(
-        {(min(v, w), max(v, w)) for v, rot in enumerate(rotations) for w in rot}
-    )
-    return Embedding(Graph(n, edges), rotations)
+    return tuple(rotations)
+
+
+def _rows(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Adjacency bit rows of a rotation system."""
+    return [sum(1 << w for w in rot) for rot in rotations]
+
+
+def code_to_embedding(code: tuple[int, ...]) -> Embedding:
+    """Rebuild the canonically labeled embedding encoded by a flat code."""
+    rotations = _code_rotations(code)
+    return Embedding(Graph._from_rows(len(rotations), _rows(rotations)), rotations)
 
 
 def split_vertex(
@@ -185,17 +203,16 @@ def _new_edge_is_minimal(
     return True
 
 
-def _expand_batch(
-    batch: list[tuple[tuple[int, ...], ...]],
-) -> set[tuple[int, ...]]:
-    """Canonical codes of the children of a batch of parent rotation systems,
+def _expand_batch(batch: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Canonical codes of the children of a batch of parent codes,
     restricted to the children whose new edge passes the canonical-edge
     filter (`_new_edge_is_minimal`)."""
     codes: set[tuple[int, ...]] = set()
-    for rotations in batch:
+    for code in batch:
+        rotations = _code_rotations(code)
         child_n = len(rotations) + 1
         degs = [len(r) for r in rotations]
-        rows = [sum(1 << w for w in r) for r in rotations]
+        rows = _rows(rotations)
         for v, rot_v in enumerate(rotations):
             for i, j in combinations(range(degs[v]), 2):
                 if _new_edge_is_minimal(rows, degs, v, rot_v, i, j):
@@ -205,47 +222,53 @@ def _expand_batch(
 
 
 def _grow(
-    level: tuple[Embedding, ...], n: int, workers: int
-) -> Iterator[tuple[Embedding, ...]]:
-    """Yield the levels after `level` up to n vertices, each one built from
-    the one before it; see the module docstring for the pool policy."""
+    level: tuple[tuple[int, ...], ...], n: int, workers: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the levels after `level` up to n vertices, each one the sorted
+    codes built from the one before it; see the module docstring for the
+    pool policy."""
     step = 4 * workers
     pool: ProcessPoolExecutor | None = None
     try:
-        for _ in range(level[0].graph.n, n):
-            parents = [e.rotations for e in level]
-            if pool is None and workers > 1 and len(parents) > step:
+        for _ in range(len(_code_rotations(level[0])), n):
+            if pool is None and workers > 1 and len(level) > step:
                 pool = ProcessPoolExecutor(max_workers=workers)
             if pool is None:
-                codes = _expand_batch(parents)
+                codes = _expand_batch(level)
             else:
-                batches = [parents[k::step] for k in range(step)]
+                batches = [level[k::step] for k in range(step)]
                 codes = set()
                 for part in pool.map(_expand_batch, batches):
                     codes |= part
-            level = tuple(code_to_embedding(c) for c in sorted(codes))
+            level = tuple(sorted(codes))
             yield level
     finally:
         if pool is not None:
             pool.shutdown()
 
 
-_LEVELS: dict[int, tuple[Embedding, ...]] = {}
+_LEVELS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def corpus_codes(n: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
+    """The canonical codes of all triangulation classes on n vertices,
+    sorted.  Levels are cached for the process lifetime; the content is
+    deterministic regardless of worker count."""
+    if not (MIN_N <= n <= MAX_N):
+        raise GraphError(f"triangulation enumeration supports {MIN_N} <= n <= {MAX_N}")
+    if not _LEVELS:
+        _LEVELS[MIN_N] = (kernels.embedding_min_code(_K4_ROTATIONS, MIN_N),)
+    top = max(_LEVELS)
+    for size, level in enumerate(_grow(_LEVELS[top], n, workers), top + 1):
+        _LEVELS[size] = level
+    return _LEVELS[n]
 
 
 def corpus(n: int, workers: int = 1) -> tuple[Embedding, ...]:
     """All triangulation classes on n vertices, canonically labeled and
-    sorted by canonical code.  Levels are cached for the process lifetime;
-    the content is deterministic regardless of worker count.
-    """
-    if not (MIN_N <= n <= MAX_N):
-        raise GraphError(f"triangulation enumeration supports {MIN_N} <= n <= {MAX_N}")
-    if not _LEVELS:
-        k4 = kernels.embedding_min_code(_K4_ROTATIONS, MIN_N)
-        _LEVELS[MIN_N] = (code_to_embedding(k4),)
-    for level in _grow(_LEVELS[max(_LEVELS)], n, workers):
-        _LEVELS[level[0].graph.n] = level
-    return _LEVELS[n]
+    sorted by canonical code.  The codes are cached (`corpus_codes`); the
+    Embeddings are decoded afresh on each call."""
+    return tuple(map(code_to_embedding, corpus_codes(n, workers=workers)))
 
 
 def enumerate_triangulations(
@@ -255,13 +278,14 @@ def enumerate_triangulations(
 ) -> EnumerationCertificate:
     """Visit every isomorphism class of n-vertex triangulations exactly once.
 
-    Each class is delivered as a valid Embedding (rotation system included);
-    the certificate reports the class count and the corpus digest.
+    Each class is delivered as a valid Embedding (rotation system included),
+    decoded only when a visitor is given; the certificate reports the class
+    count and the corpus digest.
     """
-    classes = corpus(n, workers=workers)
+    codes = corpus_codes(n, workers=workers)
     if visitor is not None:
-        for emb in classes:
-            visitor(emb)
+        for code in codes:
+            visitor(code_to_embedding(code))
     return _certificate(n, corpus_graph6(n, workers=workers))
 
 
@@ -271,8 +295,10 @@ def _certificate(n: int, lines: list[str]) -> EnumerationCertificate:
 
 
 def corpus_graph6(n: int, workers: int = 1) -> list[str]:
-    """One graph6 line per class, sorted lexicographically (dump format)."""
-    return sorted(to_graph6(e.graph) for e in corpus(n, workers=workers))
+    """One graph6 line per class, sorted lexicographically (dump format),
+    written from each code's bit rows."""
+    return sorted(_graph6(n, _rows(_code_rotations(code)))
+                  for code in corpus_codes(n, workers=workers))
 
 
 def _digest(lines: Iterable[str]) -> str:

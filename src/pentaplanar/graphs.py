@@ -28,7 +28,6 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -39,6 +38,31 @@ class Graph:
                 raise GraphError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        self._set_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """The graph on 0..n-1 with adjacency bit rows `rows`, checked on the
+        masks: one row per vertex, each within 0..n-1, with no loop, and
+        symmetric."""
+        if len(rows) != n:
+            raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
+        for v, row in enumerate(rows):
+            if row < 0 or row >> n:
+                raise GraphError(f"row {v} has a neighbour out of range for n={n}")
+            if row >> v & 1:
+                raise GraphError(f"self-loop at vertex {v}")
+        g = cls.__new__(cls)
+        g._set_rows(rows)
+        for v, nbrs in enumerate(g.neighbors):
+            bit_v = 1 << v
+            for u in nbrs:
+                if not rows[u] & bit_v:
+                    raise GraphError(f"asymmetric rows: {u} in row {v}, {v} not in row {u}")
+        return g
+
+    def _set_rows(self, rows: Sequence[int]) -> None:
+        self.n = len(rows)
         self.bitrows: tuple[int, ...] = tuple(rows)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(_bits(row)) for row in rows
@@ -246,18 +270,18 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError(
             f"graph6 body length {len(data) - pos} != expected {need} for n={n}"
         )
-    bits = []
-    for byte in data[pos:]:
-        val = byte - 63
-        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
-    edges = []
-    i = 0
+    # column v holds bits 0..v-1 of row v, least vertex first (see _graph6)
+    bits = "".join(format(byte - 63, "06b") for byte in data[pos:])
+    rows = [0] * n
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    return Graph(n, edges)
+        column = int(bits[start : start + v][::-1], 2)
+        start += v
+        rows[v] = column
+        bit_v = 1 << v
+        for u in _bits(column):
+            rows[u] |= bit_v
+    return Graph._from_rows(n, rows)
 
 
 # largest n the 4-byte graph6 size prefix can state; also the edge-list cap

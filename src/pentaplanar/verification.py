@@ -12,9 +12,10 @@ once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
 `paths3_per_edge` pass.  No face is traced or cached: the facial triangles
 are read off the rotation system (`_triangles`).  Every public sweep is a
 loop over `_check`.  `_check_level` runs it over a whole level, for
-`verify_theorem` and for `verify --lemmas-only`: with workers > 1 it opens
-one process pool per call, when the level has more than 4 * workers
-classes; each worker checks one contiguous chunk of the corpus, and
+`verify_theorem` and for `verify --lemmas-only`, reading each class's
+rotation system off its canonical code: with workers > 1 it opens one
+process pool per call, when the level has more than 4 * workers classes;
+each worker checks one contiguous chunk of the level's codes, and
 `LemmaStats.merge` folds the chunks back in corpus order, so no result
 depends on the worker count.  `_check_variants` takes `verify --variants`
 the same way, embedding each variant first, in rounds of bounded size.
@@ -33,7 +34,7 @@ from . import kernels
 from .canon import canonical_form
 from .counting import count_cycles, g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
-from .enumeration import corpus
+from .enumeration import _code_rotations, _rows, code_to_embedding, corpus_codes
 from .families import build_A, build_D
 from .graphs import Graph, _bits, _flood
 
@@ -152,7 +153,7 @@ def verify_theorem(
     """
     if not (5 <= n <= 14):
         raise ValueError(f"verify_theorem supports 5 <= n <= 14, got {n}")
-    embs = corpus(n, workers=workers)
+    codes = corpus_codes(n, workers=workers)
     counts, lemmas = _check_level(n, _LEMMAS if include_lemmas else (), workers, True)
     max_c5 = max(counts)
     arg = [i for i, c in enumerate(counts) if c == max_c5]
@@ -163,7 +164,7 @@ def verify_theorem(
         known[canonical_form(build_A(n))] = "A"
     extremal = []
     for i in arg:
-        cf = canonical_form(embs[i].graph)
+        cf = canonical_form(code_to_embedding(codes[i]).graph)
         extremal.append(ExtremalEntry(graph6=cf, family=known.get(cf, "unknown")))
     extremal.sort(key=lambda e: (e.family, e.graph6))
 
@@ -188,21 +189,21 @@ def verify_theorem(
 def _check_level(
     n: int, names: tuple[str, ...], workers: int, count: bool
 ) -> tuple[list[int], dict[str, LemmaStats]]:
-    """Check every class of corpus(n): the pentagon count per class when
+    """Check every class of level n: the pentagon count per class when
     `count` is set (else none), and the named sweeps over the level.
 
     With workers > 1 and more than 4 * workers classes, one process pool
-    checks one contiguous chunk per worker, and the chunks are folded back
-    in corpus order."""
-    rotations = [e.rotations for e in corpus(n, workers=workers)]
-    if workers > 1 and len(rotations) > 4 * workers:
-        size = -(-len(rotations) // workers)
-        chunks = [(rotations[i : i + size], n, names, count)
-                  for i in range(0, len(rotations), size)]
+    checks one contiguous chunk of codes per worker, and the chunks are
+    folded back in corpus order."""
+    codes = corpus_codes(n, workers=workers)
+    if workers > 1 and len(codes) > 4 * workers:
+        size = -(-len(codes) // workers)
+        chunks = [(codes[i : i + size], n, names, count)
+                  for i in range(0, len(codes), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_check_chunk, chunks))
     else:
-        parts = [_check_chunk((rotations, n, names, count))]
+        parts = [_check_chunk((codes, n, names, count))]
     counts, lemmas = parts[0]
     for more_counts, more_lemmas in parts[1:]:
         counts += more_counts
@@ -212,13 +213,14 @@ def _check_level(
 
 
 def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
-    """Pentagon count per rotation system of a chunk (if asked), and the
-    named sweeps."""
+    """Pentagon count per class of a chunk of codes (if asked), and the
+    named sweeps, each read off the class's rotation system."""
     chunk, n, names, count = args
     stats = {name: LemmaStats() for name in names}
     counts = []
-    for rots in chunk:
-        rows = tuple(sum(1 << w for w in rot) for rot in rots)
+    for code in chunk:
+        rots = _code_rotations(code)
+        rows = tuple(_rows(rots))
         if count:
             counts.append(kernels.cycle_counts(rows, n)[2])
         _check(stats, n, rows, rots)
@@ -378,8 +380,8 @@ def _edge_deleted_variants(
     made = 0
     while made < count:
         n = rng.randint(lo, hi)
-        classes = corpus(n)
-        g = classes[rng.randrange(len(classes))].graph
+        codes = corpus_codes(n)
+        g = code_to_embedding(codes[rng.randrange(len(codes))]).graph
         edges = g.edges()
         drop = {rng.randrange(len(edges)) for _ in range(rng.randint(1, 3))}
         h = Graph(n, [e for i, e in enumerate(edges) if i not in drop])
@@ -447,8 +449,8 @@ def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResul
     result = MonotonicityResult(samples=samples, edges_tested=0, seed=seed, passed=True)
     for _ in range(samples):
         n = rng.randint(5, 11)
-        classes = corpus(n)
-        g = classes[rng.randrange(len(classes))].graph
+        codes = corpus_codes(n)
+        g = code_to_embedding(codes[rng.randrange(len(codes))]).graph
         edges = g.edges()
         keep = [e for e in edges if rng.random() > 0.25]
         base = Graph(n, keep)

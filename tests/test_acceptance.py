@@ -23,7 +23,9 @@ from pentaplanar.counting import (
 from pentaplanar.embeddings import Embedding, planar_embed
 from pentaplanar.enumeration import (
     bruteforce_triangulations,
+    code_to_embedding,
     corpus,
+    corpus_codes,
     enumerate_triangulations,
     _digest,
     _grow,
@@ -300,10 +302,10 @@ def test_criterion_7_neighborhood_cycles():
 
 def _fresh_digest(n: int, workers: int) -> str:
     """Digest of level n built from K4 here, bypassing the level cache."""
-    level = corpus(4)
+    level = corpus_codes(4)
     for level in _grow(level, n, workers):
         pass
-    return _digest(sorted(to_graph6(e.graph) for e in level))
+    return _digest(sorted(to_graph6(code_to_embedding(c).graph) for c in level))
 
 
 def test_criterion_8_worker_determinism():

@@ -4,7 +4,7 @@ import pytest
 
 from pentaplanar.canon import canonical_form
 from pentaplanar.embeddings import is_triangulation
-from pentaplanar import kernels
+from pentaplanar import enumeration, kernels, verification
 from pentaplanar.enumeration import (
     _expand_batch,
     _grow,
@@ -13,11 +13,13 @@ from pentaplanar.enumeration import (
     canonical_code,
     code_to_embedding,
     corpus,
+    corpus_codes,
     corpus_graph6,
     enumerate_triangulations,
     split_vertex,
 )
 from pentaplanar.graphs import GraphError, parse_graph6
+from pentaplanar.verification import verify_monotonicity, verify_theorem
 
 # published class counts of planar triangulations (simplicial polyhedra)
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595}
@@ -127,15 +129,15 @@ def test_visitor_called_once_per_class():
 def test_determinism_across_runs_and_workers():
     # fresh level builds, not the process-lifetime level cache
     def codes(start, n, workers):
-        return [[canonical_code(e) for e in level] for level in _grow(start, n, workers)]
+        return list(_grow(start, n, workers))
 
-    base = codes(corpus(9), 10, 1)
-    again = codes(corpus(9), 10, 1)
-    pooled = codes(corpus(9), 10, 4)
+    base = codes(corpus_codes(9), 10, 1)
+    again = codes(corpus_codes(9), 10, 1)
+    pooled = codes(corpus_codes(9), 10, 4)
     assert base == again == pooled
-    assert base == [[canonical_code(e) for e in corpus(10)]]
+    assert base == [tuple(canonical_code(e) for e in corpus(10))]
     # one pool kept over levels 9 and 10, the first two with > 4 * 2 parents
-    assert codes(corpus(4), 10, 2) == codes(corpus(4), 10, 1)
+    assert codes(corpus_codes(4), 10, 2) == codes(corpus_codes(4), 10, 1)
 
 
 @pytest.mark.parametrize("n", sorted(KNOWN_DIGESTS))
@@ -164,7 +166,7 @@ def _expand_batch_unfiltered(batch):
 def test_child_filter_loses_no_class():
     for n in range(4, 11):
         parents = [e.rotations for e in corpus(n)]
-        assert _expand_batch(parents) == _expand_batch_unfiltered(parents), n
+        assert _expand_batch(corpus_codes(n)) == _expand_batch_unfiltered(parents), n
 
 
 def _new_edge_is_minimal_reference(child, v):
@@ -203,3 +205,51 @@ def test_range_checks():
         corpus(3)
     with pytest.raises(GraphError):
         corpus(15)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Count `code_to_embedding` calls, wherever it is called from, on a
+    fresh level cache."""
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return code_to_embedding(code)
+
+    monkeypatch.setattr(enumeration, "code_to_embedding", counted)
+    monkeypatch.setattr(verification, "code_to_embedding", counted)
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    return calls
+
+
+def test_enumeration_without_visitor_decodes_no_class(decodes):
+    cert = enumerate_triangulations(10)
+    assert (cert.count, cert.digest) == (KNOWN_COUNTS[10], KNOWN_DIGESTS[10])
+    assert decodes == []
+
+
+def test_verify_theorem_decodes_only_the_maximizers(decodes):
+    cert = verify_theorem(9)
+    assert cert.theorem_match
+    assert len(decodes) == len(cert.extremal)
+
+
+def test_monotonicity_decodes_only_the_drawn_classes(decodes):
+    assert verify_monotonicity(samples=20).passed
+    assert len(decodes) == 20
+
+
+def test_levels_are_sorted_code_tuples():
+    corpus_codes(9)
+    assert set(range(4, 10)) <= set(enumeration._LEVELS)
+    for n, level in enumeration._LEVELS.items():
+        assert isinstance(level, tuple) and list(level) == sorted(level), n
+        for code in level:
+            assert isinstance(code, tuple) and all(type(x) is int for x in code), n
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_corpus_decodes_the_cached_codes_in_order(n):
+    embs = corpus(n)
+    assert [canonical_code(e) for e in embs] == list(corpus_codes(n))

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentaplanar.enumeration import corpus
 from pentaplanar.graphs import (
+    GRAPH6_HEADER,
     Graph,
     GraphError,
+    _decode_g6_size,
     complete_graph,
     parse_edge_list_text,
     parse_graph6,
@@ -84,3 +89,72 @@ def test_parse_graph_text_returns_or_raises_graph_error(text, fmt):
     except GraphError:
         return
     assert isinstance(g, Graph)
+
+
+def _parse_graph6_reference(text: str) -> Graph:
+    """Reference decoder: every body byte expanded into six bits, every bit
+    of the column-major upper triangle into an edge, and the edges through
+    the validating `Graph` constructor."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER) :].strip()
+    if not s:
+        raise GraphError("empty graph6 string")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError:
+        raise GraphError(f"non-ASCII character in graph6 string {s!r}") from None
+    if any(b < 63 or b > 126 for b in data):
+        raise GraphError(f"invalid graph6 byte in {s!r}")
+    n, pos = _decode_g6_size(data)
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - pos != need:
+        raise GraphError(
+            f"graph6 body length {len(data) - pos} != expected {need} for n={n}"
+        )
+    bits = []
+    for byte in data[pos:]:
+        val = byte - 63
+        bits.extend((val >> shift & 1) for shift in range(5, -1, -1))
+    edges = []
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                edges.append((u, v))
+            i += 1
+    return Graph(n, edges)
+
+
+def test_parse_matches_reference_on_random_graphs():
+    rng = random.Random(6006)
+    for n in list(range(0, 30)) + [40, 62, 63, 64, 65, 80, 99, 100]:
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            text = to_graph6(g)
+            parsed = parse_graph6(text)
+            assert parsed == _parse_graph6_reference(text) == g, (n, p)
+            assert parsed.neighbors == g.neighbors
+
+
+def test_parse_matches_reference_on_corpus():
+    for n in range(4, 10):
+        for emb in corpus(n):
+            text = to_graph6(emb.graph)
+            assert parse_graph6(text) == _parse_graph6_reference(text) == emb.graph
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (3, [0b010, 0b000, 0b000]),   # 1 in row 0, 0 not in row 1
+        (3, [0b001, 0b000, 0b000]),   # self-loop at 0
+        (2, [0b110, 0b001]),          # neighbour 2 out of range
+        (2, [-1, 0b01]),              # negative row
+        (3, [0b010, 0b001]),          # one row short
+    ],
+)
+def test_rows_constructor_rejects_bad_rows(n, rows):
+    with pytest.raises(GraphError):
+        Graph._from_rows(n, rows)
