@@ -1,9 +1,10 @@
 """Pure-Python bit kernels: the fallback backend.
 
-Mirrors the compiled extension `_fastkern` function for function; results
-are identical objects (ints, lists, tuples).  Adjacency rows are arbitrary
-precision Python ints, so this backend works for any n, whereas the compiled
-one is limited to n <= 64.
+Covers every kernel of the compiled extension `_fastkern`, with identical
+results (ints, lists, tuples), plus `edge_profile`, which the compiled
+module lacks (the dispatcher in `kernels` composes it there).  Adjacency
+rows are arbitrary precision Python ints, so this backend works for any n,
+whereas the compiled one is limited to n <= 64.
 
 Hot-loop conventions shared by both backends:
   * edge order is u < v ascending lexicographic, matching Graph.edges();
@@ -13,11 +14,11 @@ Hot-loop conventions shared by both backends:
     followed by its neighbor labels in rotation order starting from the
     entry neighbor.
 
-The compiled backend enumerates the paths u-a-b-c-v of each edge.  This one
-counts them in closed form from bit-sliced codegrees (`_codegree_planes`;
-see `c5_per_edge` for the derivation), which costs a few popcounts per edge
-instead of one per (a, c) pair.  `paths3_per_edge` and `paths3_between`
-keep the loop: their one level of nesting is already cheap.
+The compiled backend enumerates the paths u-a-b-c-v and u-x-y-v of each
+edge.  This one counts both in closed form from one set of bit-sliced
+codegrees (`_codegree_planes`; see `edge_profile` and `c5_per_edge` for
+the derivations), which costs a few popcounts per edge instead of one per
+path prefix.  `paths3_between`, asked for one pair, keeps the loop.
 """
 
 from __future__ import annotations
@@ -30,19 +31,22 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _codegree_planes(rows: tuple[int, ...], n: int) -> list[list[tuple[int, int]]]:
-    """Bit-sliced codegrees W(u, x) = |N(u) & N(x)|, so W(u, u) = deg u.
+def _codegree_planes(rows: tuple[int, ...], nbrs: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Bit-sliced codegrees W(u, x) = |N(u) & N(x)| for x != u.
 
-    planes[u] lists the pairs (i, mask) where mask holds the vertices x
-    whose W(u, x) has bit i set.  The row of each neighbor y of u is added
-    into them by ripple carry, so the planes take about log2(max codegree)
-    times the memory of the rows, never an n x n table.
+    planes[u] lists the pairs (i, mask) where mask holds the vertices
+    x != u whose W(u, x) has bit i set.  The row of each neighbor y of u,
+    less u itself, is added into them by ripple carry, so the planes take
+    about log2(max codegree) times the memory of the rows, never an n x n
+    table.  Leaving out x = u, whose W(u, u) = deg u is the largest entry
+    of the row, saves a plane at most vertices.
     """
     out = []
-    for u in range(n):
+    for u, nu in enumerate(nbrs):
         planes: list[int] = []
-        for y in _bits(rows[u]):
-            carry = rows[y]
+        keep = ~(1 << u)
+        for y in nu:
+            carry = rows[y] & keep
             for i, p in enumerate(planes):
                 planes[i] = p ^ carry
                 carry &= p
@@ -54,51 +58,58 @@ def _codegree_planes(rows: tuple[int, ...], n: int) -> list[list[tuple[int, int]
     return out
 
 
-def _c5_edges(rows: tuple[int, ...], n: int, planes: list[list[tuple[int, int]]]):
-    """The closed form of `c5_per_edge`, one edge at a time, in edge order."""
-    deg = [r.bit_count() for r in rows]
-    a3 = []
-    for u in range(n):
-        ru = rows[u]
-        total = 0
-        for i, p in planes[u]:
-            total += (p & ru).bit_count() << i
-        a3.append(total)
-    for u in range(n):
-        ru, pu, du, a3u = rows[u], planes[u], deg[u], a3[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            pv = planes[v]
-            common = ru & rows[v]
-            total = common.bit_count() * (5 - du - deg[v]) - a3u - a3[v]
-            for w in _bits(common):
-                total -= deg[w]
+def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Per edge, in edge order: the 5-cycles through it (`c5_per_edge`) and
+    the paths u-x-y-v on four distinct vertices (`paths3_per_edge`), both
+    from one `_codegree_planes` pass.
+
+    The walks u-x-y-v number sum_{y in N(v)} W(u, y); those with x = v
+    number deg v, those with y = u deg u, and the one walk u-v-u-v has
+    both, so p3(uv) = sum_{y in N(v)} W(u, y) - deg u - deg v + 1.  The
+    term y = u is W(u, u) = deg u, so over the planes P[u][i], which leave
+    u out, p3(uv) = sum_i 2^i |P[u][i] & N(v)| - deg v + 1.
+    """
+    nbrs = [list(_bits(r)) for r in rows]
+    deg = [len(nu) for nu in nbrs]
+    planes = _codegree_planes(rows, nbrs)
+    a3 = [sum((p & rows[u]).bit_count() << i for i, p in planes[u]) for u in range(n)]
+    c5: list[int] = []
+    p3: list[int] = []
+    for u, nu in enumerate(nbrs):
+        ru, pu, a3u = rows[u], planes[u], a3[u]
+        for v in nu:
+            if v < u:
+                continue
+            rv, pv = rows[v], planes[v]
+            common = ru & rv
+            walks = 1 - deg[v]
+            total = 5 * common.bit_count() - a3u - a3[v]
+            while common:
+                low = common & -common
+                total -= deg[low.bit_length() - 1]
+                common ^= low
             for i, p in pu:
+                walks += (p & rv).bit_count() << i
                 for j, q in pv:
                     total += (p & q).bit_count() << (i + j)
-            yield total
+            c5.append(total)
+            p3.append(walks)
+    return c5, p3
 
 
 def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
     """Exact numbers of 3-, 4- and 5-cycles via per-edge path counting.
 
     Edge uv lies on |N(u) & N(v)| triangles, on p3(uv) 4-cycles and on
-    c5(uv) 5-cycles (see `c5_per_edge`).  The walks u-x-y-v number
-    sum_{y in N(v)} W(u, y); those with x = v number deg v, those with
-    y = u deg u, and the one walk u-v-u-v has both, so
-    p3(uv) = sum_{y in N(v)} W(u, y) - deg u - deg v + 1.
+    c5(uv) 5-cycles (see `edge_profile`).
     """
-    planes = _codegree_planes(rows, n)
-    t3 = t4 = 0
+    c5, p3 = edge_profile(rows, n)
+    t3 = 0
     for u in range(n):
-        ru, pu, du = rows[u], planes[u], rows[u].bit_count()
+        ru = rows[u]
         for v in _bits(ru >> (u + 1) << (u + 1)):
-            rv = rows[v]
-            t3 += (ru & rv).bit_count()
-            t4 += 1 - du - rv.bit_count()
-            for i, p in pu:
-                t4 += (p & rv).bit_count() << i
-    t5 = sum(_c5_edges(rows, n, planes))
-    return t3 // 3, t4 // 4, t5 // 5
+            t3 += (ru & rows[v]).bit_count()
+    return t3 // 3, sum(p3) // 4, sum(c5) // 5
 
 
 def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
@@ -109,9 +120,8 @@ def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     counting given length cycles", Algorithmica 17, 1997).  Write d(x) for
     deg x and t = W(u, v).
 
-    The walks u-a-b-c-v number A4(u, v) = sum_b W(u, b) W(b, v), that is
-    sum_{i,j} 2^(i+j) |P[u][i] & P[v][j]|, where P[u][i] is the mask of
-    bit i of W(u, .).  A walk is a path unless one of five events holds
+    The walks u-a-b-c-v number A4(u, v) = sum_b W(u, b) W(b, v), with
+    W(b, b) = d(b).  A walk is a path unless one of five events holds
     (a != u, b != a, c != b and c != v hold in any walk, as the graph has
     no loops):
       E1  a = v: walks u-v-b-c-v, one per b in N(v), c in N(b) & N(v):
@@ -129,8 +139,17 @@ def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
 
       c5(uv) = A4(u, v) - a3(u) - a3(v) + t (5 - d(u) - d(v))
                - sum_{w in N(u) & N(v)} d(w).
+
+    The terms b = u and b = v of A4 are d(u) t and t d(v).  The rest,
+    A4'(u, v), is sum_{i,j} 2^(i+j) |P[u][i] & P[v][j]| over the planes of
+    `_codegree_planes`, where P[u][i] holds the x != u with bit i of
+    W(u, x) set: neither P[u][i] holds u nor P[v][j] holds v.  So
+
+      c5(uv) = A4'(u, v) - a3(u) - a3(v) + 5t - sum_{w in N(u) & N(v)} d(w),
+
+    which `edge_profile` evaluates.
     """
-    return list(_c5_edges(rows, n, _codegree_planes(rows, n)))
+    return edge_profile(rows, n)[0]
 
 
 def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
@@ -144,18 +163,8 @@ def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
 
 
 def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    """paths3_between for every edge, in edge order."""
-    out = []
-    for u in range(n):
-        ru = rows[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            rv = rows[v]
-            mask_u = ~(1 << u)
-            total = 0
-            for x in _bits(ru & ~(1 << v)):
-                total += (rows[x] & rv & mask_u).bit_count()
-            out.append(total)
-    return out
+    """paths3_between for every edge, in edge order (see `edge_profile`)."""
+    return edge_profile(rows, n)[1]
 
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 paths between vertex pairs, and length-3 paths anchored on a triangle.
 
 `count_cycles` is the production counter: per-edge path counts, summed
-over the edges.  The compiled kernels enumerate the paths over bitmask
-rows; the pure `cycle_counts` and `c5_per_edge` count them in closed form
-from bit-sliced codegrees (see `_purekern`).  `count_cycles_bruteforce`
+over the edges.  `cycle_report` takes the per-edge 4- and 5-cycle counts
+from one `kernels.edge_profile` call.  The compiled kernels enumerate the
+paths over bitmask rows; the pure ones count them in closed form from one
+pass of bit-sliced codegrees (see `_purekern`).  `count_cycles_bruteforce`
 re-counts by exhaustive ordered walk enumeration and exists purely as an
 independent oracle; it must never share code with the production path.
 """
@@ -61,15 +62,15 @@ def cycle_report(g: Graph) -> CycleCountReport:
 
     Every total comes from one per-edge pass: c_k is the per-edge k-cycle
     sum divided by k, since a k-cycle has k edges.  An edge uv lies on
-    |N(u) & N(v)| triangles, on one 4-cycle per path u-x-y-v
-    (`paths3_per_edge`) and on one 5-cycle per path u-a-b-c-v
-    (`c5_per_edge`).
+    |N(u) & N(v)| triangles, on one 4-cycle per path u-x-y-v and on one
+    5-cycle per path u-a-b-c-v; `edge_profile` gives both path counts at
+    once.
     """
     rows = g.bitrows
     edges = g.edges()
-    per_edge = kernels.c5_per_edge(rows, g.n)
+    per_edge, paths3 = kernels.edge_profile(rows, g.n)
     c3 = sum((rows[u] & rows[v]).bit_count() for u, v in edges) // 3
-    c4 = sum(kernels.paths3_per_edge(rows, g.n)) // 4
+    c4 = sum(paths3) // 4
     c5 = sum(per_edge) // 5
     vertex_tally = [0] * g.n
     for (u, v), cnt in zip(edges, per_edge):

@@ -4,7 +4,9 @@ The compiled extension (`_fastkern`, Cython) is used when it was built and
 the graph fits in 64-bit rows; otherwise the pure-Python twin (`_purekern`)
 takes over.  Setting PENTAPLANAR_KERNEL=pure forces the fallback, which is
 how the benchmark and the parity tests exercise both sides.  The backend is
-chosen once, when this module is imported.
+chosen once, when this module is imported.  `edge_profile`, the per-class
+pass of `verification` and `counting.cycle_report`, exists only in the pure
+module; on the compiled side it runs the two compiled per-edge loops.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
 
 def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     return _pick(n).c5_per_edge(rows, n)
+
+
+def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """(c5_per_edge, paths3_per_edge) in one call."""
+    mod = _pick(n)
+    if mod is _purekern:
+        return _purekern.edge_profile(rows, n)
+    return mod.c5_per_edge(rows, n), mod.paths3_per_edge(rows, n)
 
 
 def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:

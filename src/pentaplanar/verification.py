@@ -9,13 +9,23 @@ strictly below the maximum (`second_best` in the certificate).
 
 Each class is checked once, by `_check`: its adjacency rows are built
 once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
-`paths3_per_edge` pass.  No face is traced or cached: the facial triangles
-are read off the rotation system (`_triangles`).  Every public sweep is a
-loop over `_check`.  `_check_level` runs it over a whole level, for
-`verify_theorem` and for `verify --lemmas-only`, reading each class's
-rotation system off its canonical code: with workers > 1 it opens one
-process pool per call, when the level has more than 4 * workers classes;
-each worker checks one contiguous chunk of the level's codes, and
+per-edge path count.  `_check_chunk` takes that count and the class's
+pentagon count from one `kernels.edge_profile` pass.  No face is traced:
+on a corpus class, a triangulation, every consecutive rotation pair is a
+face (`_rotation_faces`); `_triangles` reads the triangular faces of an
+arbitrary rotation system, for `--variants` and the public sweeps.
+Lemma 1 floods a common neighbourhood only when it has three or more
+vertices; with at most two it always holds (`_lemma1_note` gives the four
+cases).  Each sweep records a graph in aggregate, `checked` by count and
+the slack range over a list, unless the graph violates it; only then is
+the graph recorded item by item, so the notes and their order are those
+of a per-item sweep (`_record`).
+
+Every public sweep is a loop over `_check`.  `_check_level` runs it over a
+whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
+each class's rotation system off its canonical code: with workers > 1 it
+opens one process pool per call, when the level has more than 4 * workers
+classes; each worker checks one contiguous chunk of the level's codes, and
 `LemmaStats.merge` folds the chunks back in corpus order, so no result
 depends on the worker count.  `_check_variants` takes `verify --variants`
 the same way, embedding each variant first, in rounds of bounded size.
@@ -71,16 +81,22 @@ class LemmaStats:
     def record(
         self, ok: bool, slack: int | None = None, note: str | None = None
     ) -> None:
-        self.checked += 1
-        if slack is not None:
-            if self.min_slack is None or slack < self.min_slack:
-                self.min_slack = slack
-            if self.max_slack is None or slack > self.max_slack:
-                self.max_slack = slack
+        self.record_all(1, () if slack is None else (slack,))
         if not ok:
             self.violations += 1
             if note and len(self.examples) < MAX_VIOLATION_EXAMPLES:
                 self.examples.append(note)
+
+    def record_all(self, count: int, slacks=()) -> None:
+        """Count `count` checked items at once, with these slacks; only
+        `record` counts a violation."""
+        self.checked += count
+        if slacks:
+            lo, hi = min(slacks), max(slacks)
+            if self.min_slack is None or lo < self.min_slack:
+                self.min_slack = lo
+            if self.max_slack is None or hi > self.max_slack:
+                self.max_slack = hi
 
     def merge(self, other: LemmaStats) -> None:
         """Fold in the stats of the sweep that continues this one."""
@@ -214,16 +230,19 @@ def _check_level(
 
 def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
     """Pentagon count per class of a chunk of codes (if asked), and the
-    named sweeps, each read off the class's rotation system."""
+    named sweeps, each read off the class's rotation system.  One
+    `edge_profile` pass per class gives the count and the path counts of
+    Lemmas 2 and 3."""
     chunk, n, names, count = args
     stats = {name: LemmaStats() for name in names}
     counts = []
     for code in chunk:
         rots = _code_rotations(code)
         rows = tuple(_rows(rots))
+        c5, p3 = kernels.edge_profile(rows, n)
         if count:
-            counts.append(kernels.cycle_counts(rows, n)[2])
-        _check(stats, n, rows, rots)
+            counts.append(sum(c5) // 5)
+        _check(stats, n, rows, rots, p3, _rotation_faces(rots))
     return counts, stats
 
 
@@ -232,46 +251,80 @@ def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
 # ---------------------------------------------------------------------------
 
 
-def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
+def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None,
+           faces=None) -> None:
     """Record one graph, given by its adjacency rows and (for lemma3 and
-    remark4) its rotation system, into every sweep named in `stats`."""
+    remark4) its rotation system, into every sweep named in `stats`.
+
+    `p3` is the graph's `paths3_per_edge` list and `faces` its triangular
+    faces; each is computed here when not given.  Each sweep records the
+    graph through `_record`."""
     edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
     if "lemma1" in stats:
-        for u, v in edges:
-            common = rows[u] & rows[v]
-            shape = _path_forest_shape(rows, common)
-            if shape is None:
-                note = f"n={n} edge=({u},{v}): not a path forest"
-                stats["lemma1"].record(False, note=note)
-                continue
-            f_edges, components = shape
-            size = common.bit_count()
-            single_path = components == 1
-            k = size + 2
-            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
-            ok = tri == single_path
-            stats["lemma1"].record(ok, note=None if ok else f"n={n} edge=({u},{v}): "
-                                   f"triangulation={tri} single_path={single_path}")
-    if "lemma2" in stats or "lemma3" in stats:
-        paths = dict(zip(edges, kernels.paths3_per_edge(rows, n)))
+        _record(stats["lemma1"], [_lemma1_note(rows, n, u, v) for u, v in edges])
+    if p3 is None and ("lemma2" in stats or "lemma3" in stats):
+        p3 = kernels.edge_profile(rows, n)[1]
     if "lemma2" in stats and n >= 3:
         bound = 2 * (n - 3)
-        for (u, v), cnt in paths.items():
-            ok = cnt <= bound
-            stats["lemma2"].record(ok, bound - cnt, None if ok else
-                                   f"n={n} edge=({u},{v}) paths={cnt} > {bound}")
+        _record(stats["lemma2"], [
+            None if cnt <= bound else f"n={n} edge=({u},{v}) paths={cnt} > {bound}"
+            for (u, v), cnt in zip(edges, p3)], [bound - cnt for cnt in p3])
     if "lemma3" in stats and n >= 4:
-        for face in _triangles(rots):
+        paths = dict(zip(edges, p3))
+        notes, slacks = [], []
+        for face in _triangles(rots) if faces is None else faces:
             a, b, c = sorted(face)
             cnt = paths[a, b] + paths[b, c] + paths[a, c]
             bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
-            ok = cnt <= bound
-            stats["lemma3"].record(ok, bound - cnt, None if ok else
-                                   f"n={n} face={face} paths={cnt} > {bound}")
+            notes.append(None if cnt <= bound else f"n={n} face={face} paths={cnt} > {bound}")
+            slacks.append(bound - cnt)
+        _record(stats["lemma3"], notes, slacks)
     if "remark4" in stats:
-        for v, rot in enumerate(rots):
-            ok = all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))
-            stats["remark4"].record(ok, note=None if ok else f"n={n} vertex={v} rotation gap")
+        _record(stats["remark4"], [
+            None if all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))
+            else f"n={n} vertex={v} rotation gap" for v, rot in enumerate(rots)])
+
+
+def _record(stats: LemmaStats, notes: list[str | None], slacks=None) -> None:
+    """Record one graph's items into a sweep: notes[i] is None when item i
+    holds, else its violation note, and slacks[i] is its slack, if the
+    sweep has slacks.  Without a violation the graph is recorded in
+    aggregate, else item by item."""
+    if not any(notes):
+        stats.record_all(len(notes), slacks or ())
+        return
+    for i, note in enumerate(notes):
+        stats.record(note is None, None if slacks is None else slacks[i], note)
+
+
+def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
+    """None when Lemma 1 holds at the edge uv, else the violation note.
+
+    With at most two common neighbours it always holds, with no flood:
+    none, and the closed set is K2, neither a triangulation nor a single
+    path; one, K3, both; two adjacent ones, K4, both; two non-adjacent
+    ones, K4 minus an edge, neither."""
+    common = rows[u] & rows[v]
+    size = common.bit_count()
+    if size <= 2:
+        return None
+    shape = _path_forest_shape(rows, common)
+    if shape is None:
+        return f"n={n} edge=({u},{v}): not a path forest"
+    f_edges, components = shape
+    single_path = components == 1
+    tri = f_edges + 2 * size + 1 == 3 * (size + 2) - 6
+    if tri == single_path:
+        return None
+    return f"n={n} edge=({u},{v}): triangulation={tri} single_path={single_path}"
+
+
+def _rotation_faces(rots) -> list[tuple[int, int, int]]:
+    """The faces of a triangulation's rotation system, as `_triangles` lists
+    them: in a triangulation every consecutive rotation pair (x, w) at v,
+    x before w, bounds the face (v, w, x), listed at its least vertex v."""
+    return [(v, w, rot[i - 1]) for v, rot in enumerate(rots)
+            for i, w in enumerate(rot) if v < w and v < rot[i - 1]]
 
 
 def _triangles(rots) -> list[tuple[int, int, int]]:
@@ -342,7 +395,7 @@ def verify_lemma3(embeddings) -> LemmaStats:
     the face, and at most 4k-9 when no vertex is adjacent to all of it.
 
     The face count is the sum of the per-edge length-3 path counts over the
-    face's three edges, taken from one `paths3_per_edge` pass per graph.
+    face's three edges, taken from one `edge_profile` pass per graph.
     """
     return _sweep(("lemma3",), ((e.graph, e.rotations) for e in embeddings))["lemma3"]
 
@@ -354,7 +407,7 @@ def verify_remark4(embeddings) -> LemmaStats:
 
 
 def verify_lemmas_over(embeddings) -> dict[str, LemmaStats]:
-    """All four sweeps; Lemmas 2 and 3 share one `paths3_per_edge` pass."""
+    """All four sweeps; Lemmas 2 and 3 share one `edge_profile` pass."""
     return _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embeddings))
 
 
@@ -442,27 +495,34 @@ def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResul
     """Adding any planarity-preserving edge never decreases the pentagon
     count; this is what reduces the maximization to triangulations.
 
-    An added edge that belongs to the sampled triangulation keeps the graph
-    a subgraph of it, hence planar, so only the other edges are embedded.
+    The sampled triangulation's rotations, restricted to the kept edges,
+    embed the base graph in the plane.  An absent edge whose endpoints lie
+    on one facial walk of that embedding can be drawn inside the face, so
+    the graph stays planar; every deleted triangulation edge is such an
+    edge.  Only the other absent edges are embedded.
     """
     rng = random.Random(seed)
     result = MonotonicityResult(samples=samples, edges_tested=0, seed=seed, passed=True)
     for _ in range(samples):
         n = rng.randint(5, 11)
         codes = corpus_codes(n)
-        g = code_to_embedding(codes[rng.randrange(len(codes))]).graph
-        edges = g.edges()
-        keep = [e for e in edges if rng.random() > 0.25]
+        tri = code_to_embedding(codes[rng.randrange(len(codes))])
+        keep = [e for e in tri.graph.edges() if rng.random() > 0.25]
         base = Graph(n, keep)
         base_c5 = count_cycles(base, 5)
-        present = set(keep)
-        tri = set(edges)
+        rows = base.bitrows
+        cofacial = [0] * n
+        for walk in Embedding(base, [[w for w in rot if rows[v] >> w & 1]
+                                     for v, rot in enumerate(tri.rotations)])._walks():
+            mask = sum(1 << w for w in set(walk))
+            for w in walk:
+                cofacial[w] |= mask
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) in present:
+                if rows[u] >> v & 1:
                     continue
                 grown = Graph(n, keep + [(u, v)])
-                if (u, v) not in tri and not isinstance(planar_embed(grown), Embedding):
+                if not cofacial[u] >> v & 1 and not isinstance(planar_embed(grown), Embedding):
                     continue
                 result.edges_tested += 1
                 if count_cycles(grown, 5) < base_c5:

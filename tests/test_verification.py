@@ -11,10 +11,11 @@ from pentaplanar.embeddings import (
     planar_embed,
     triangular_faces,
 )
-from pentaplanar.enumeration import corpus
+from pentaplanar.enumeration import _code_rotations, _rows, corpus, corpus_codes
 from pentaplanar.families import build_D
 from pentaplanar.graphs import (
     Graph,
+    _bits,
     common_neighbors,
     complete_graph,
     induced_subgraph,
@@ -23,6 +24,10 @@ from pentaplanar.graphs import (
 from pentaplanar.verification import (
     MAX_VIOLATION_EXAMPLES,
     LemmaStats,
+    _check_chunk,
+    _check_variant_chunk,
+    _path_forest_shape,
+    _sweep,
     _triangles,
     edge_deleted_variants,
     expected_family_labels,
@@ -35,6 +40,8 @@ from pentaplanar.verification import (
     verify_remark4,
     verify_theorem,
 )
+
+from .test_kernels import _c5_per_edge_reference, _paths3_per_edge_reference
 
 
 def test_expected_values():
@@ -316,7 +323,7 @@ def test_lemma3_matches_pairwise_reference():
 
 def test_lemmas_over_share_one_path_pass(monkeypatch):
     """verify_lemmas_over gives the same stats as the separate sweeps and
-    makes one paths3_per_edge pass per graph, not one per sweep."""
+    makes one edge_profile pass per graph, not one per sweep."""
     embs = [e for n in range(5, 10) for e in corpus(n)]
     graphs = [e.graph for e in embs]
     separate = {
@@ -326,18 +333,114 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
         "remark4": verify_remark4(embs),
     }
     calls = []
-    real = kernels.paths3_per_edge
+    real = kernels.edge_profile
 
     def counted(rows, n):
         calls.append(n)
         return real(rows, n)
 
-    monkeypatch.setattr(kernels, "paths3_per_edge", counted)
+    monkeypatch.setattr(kernels, "edge_profile", counted)
     shared = verify_lemmas_over(embs)
     assert len(calls) == len(embs)
     assert {k: v.to_json_dict() for k, v in shared.items()} == {
         k: v.to_json_dict() for k, v in separate.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# Reference route for the per-class check: the per-item check it replaced,
+# one record per edge, face and vertex, every common neighbourhood flooded,
+# faces traced by `_triangles` and paths counted by the loop reference
+# ---------------------------------------------------------------------------
+
+
+def _check_reference(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
+    edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
+    if "lemma1" in stats:
+        for u, v in edges:
+            common = rows[u] & rows[v]
+            shape = _path_forest_shape(rows, common)
+            if shape is None:
+                note = f"n={n} edge=({u},{v}): not a path forest"
+                stats["lemma1"].record(False, note=note)
+                continue
+            f_edges, components = shape
+            size = common.bit_count()
+            single_path = components == 1
+            k = size + 2
+            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
+            ok = tri == single_path
+            stats["lemma1"].record(ok, note=None if ok else f"n={n} edge=({u},{v}): "
+                                   f"triangulation={tri} single_path={single_path}")
+    if "lemma2" in stats or "lemma3" in stats:
+        paths = dict(zip(edges, _paths3_per_edge_reference(rows, n)))
+    if "lemma2" in stats and n >= 3:
+        bound = 2 * (n - 3)
+        for (u, v), cnt in paths.items():
+            ok = cnt <= bound
+            stats["lemma2"].record(ok, bound - cnt, None if ok else
+                                   f"n={n} edge=({u},{v}) paths={cnt} > {bound}")
+    if "lemma3" in stats and n >= 4:
+        for face in _triangles(rots):
+            a, b, c = sorted(face)
+            cnt = paths[a, b] + paths[b, c] + paths[a, c]
+            bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
+            ok = cnt <= bound
+            stats["lemma3"].record(ok, bound - cnt, None if ok else
+                                   f"n={n} face={face} paths={cnt} > {bound}")
+    if "remark4" in stats:
+        for v, rot in enumerate(rots):
+            ok = all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))
+            stats["remark4"].record(ok, note=None if ok else f"n={n} vertex={v} rotation gap")
+
+
+_ALL = ("lemma1", "lemma2", "lemma3", "remark4")
+
+
+def _reference_json(names, items) -> dict:
+    """The reference sweeps over (graph, rotation system) pairs, as JSON."""
+    stats = {name: LemmaStats() for name in names}
+    for g, rots in items:
+        _check_reference(stats, g.n, g.bitrows, rots)
+    return {k: v.to_json_dict() for k, v in stats.items()}
+
+
+def _as_json(stats) -> dict:
+    return {k: v.to_json_dict() for k, v in stats.items()}
+
+
+def test_level_check_matches_per_item_reference():
+    """The per-class check (one edge_profile pass, faces read off the
+    rotations, the Lemma 1 shortcut, aggregate recording) gives the per-item
+    reference's stats and counts on every class up to n = 10."""
+    for n in range(5, 11):
+        codes = corpus_codes(n)
+        counts, stats = _check_chunk((codes, n, _ALL, True))
+        items = []
+        for code in codes:
+            rots = _code_rotations(code)
+            items.append((Graph._from_rows(n, _rows(rots)), rots))
+        assert _as_json(stats) == _reference_json(_ALL, items), n
+        assert counts == [sum(_c5_per_edge_reference(g.bitrows, n)) // 5 for g, _ in items]
+
+
+def test_sweeps_match_per_item_reference_with_violations():
+    """On graphs that violate the lemmas (K5, K6, K3,3 and random graphs,
+    under sorted and random rotation systems) and on the edge-deleted
+    variants, the sweeps give the per-item reference's stats, notes and
+    their order included."""
+    rng = random.Random(43)
+    graphs = _random_graphs(300, seed=29)   # K5, K6, K3,3 first
+    items = [(g, g.neighbors) for g in graphs[:3]]
+    items += [(g, [rng.sample(r, len(r)) for r in g.neighbors]) for g in graphs]
+    for names in (_ALL, ("lemma1",), ("lemma2",), ("lemma3",), ("remark4",)):
+        stats = _sweep(names, items)
+        assert _as_json(stats) == _reference_json(names, items), names
+        assert all(v.violations > MAX_VIOLATION_EXAMPLES for v in stats.values())
+    variants = edge_deleted_variants(200, seed=23)
+    embs = [(e.graph, e.rotations) for e in map(planar_embed, variants)]
+    names = ("lemma1", "lemma2", "lemma3")
+    assert _as_json(_check_variant_chunk(variants)) == _reference_json(names, embs)
 
 
 def _swapped(emb: Embedding, rng: random.Random) -> Embedding:
