@@ -15,10 +15,12 @@ Hot-loop conventions shared by both backends:
     entry neighbor.
 
 The compiled backend enumerates the paths u-a-b-c-v and u-x-y-v of each
-edge.  This one counts both in closed form from one set of bit-sliced
-codegrees (`_codegree_planes`; see `edge_profile` and `c5_per_edge` for
-the derivations), which costs a few popcounts per edge instead of one per
-path prefix.  `paths3_between`, asked for one pair, keeps the loop.
+edge.  This one counts them in closed form from bit-sliced codegrees
+(`_codegree_planes`; see `edge_profile` and `c5_per_edge` for the
+derivations), which costs a few popcounts per edge instead of one per
+(a, c) pair; `edge_profile` reads both counts off one set of planes.
+`paths3_per_edge` and `paths3_between` keep the loop: their one level of
+nesting is already cheap.
 """
 
 from __future__ import annotations
@@ -163,8 +165,20 @@ def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
 
 
 def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    """paths3_between for every edge, in edge order (see `edge_profile`)."""
-    return edge_profile(rows, n)[1]
+    """paths3_between for every edge, in edge order.  For a caller that
+    needs no pentagon count this loop is as cheap as the closed form of
+    `edge_profile`, and skips its c5 plane products."""
+    out = []
+    for u in range(n):
+        ru = rows[u]
+        for v in _bits(ru >> (u + 1) << (u + 1)):
+            rv = rows[v]
+            mask_u = ~(1 << u)
+            total = 0
+            for x in _bits(ru & ~(1 << v)):
+                total += (rows[x] & rv & mask_u).bit_count()
+            out.append(total)
+    return out
 
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:

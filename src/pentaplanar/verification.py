@@ -9,17 +9,14 @@ strictly below the maximum (`second_best` in the certificate).
 
 Each class is checked once, by `_check`: its adjacency rows are built
 once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
-per-edge path count.  `_check_chunk` takes that count and the class's
-pentagon count from one `kernels.edge_profile` pass.  No face is traced:
-on a corpus class, a triangulation, every consecutive rotation pair is a
-face (`_rotation_faces`); `_triangles` reads the triangular faces of an
-arbitrary rotation system, for `--variants` and the public sweeps.
-Lemma 1 floods a common neighbourhood only when it has three or more
-vertices; with at most two it always holds (`_lemma1_note` gives the four
-cases).  Each sweep records a graph in aggregate, `checked` by count and
-the slack range over a list, unless the graph violates it; only then is
-the graph recorded item by item, so the notes and their order are those
-of a per-item sweep (`_record`).
+`paths3_per_edge` pass; when `_check_chunk` also counts pentagons, it
+takes the path and pentagon counts from one `kernels.edge_profile` pass.  No face is traced or
+cached: the facial triangles are read off the rotation system
+(`_triangles`).  Lemma 1 floods a common neighbourhood only when it has
+three or more vertices; with at most two it always holds (`_lemma1_note`
+gives the four cases).  Each sweep records a graph in aggregate: `checked`
+by count, the slack range over a list, then one `LemmaStats.violation`
+per violated item, in item order (`_record`).
 
 Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
@@ -83,13 +80,11 @@ class LemmaStats:
     ) -> None:
         self.record_all(1, () if slack is None else (slack,))
         if not ok:
-            self.violations += 1
-            if note and len(self.examples) < MAX_VIOLATION_EXAMPLES:
-                self.examples.append(note)
+            self.violation(note)
 
     def record_all(self, count: int, slacks=()) -> None:
-        """Count `count` checked items at once, with these slacks; only
-        `record` counts a violation."""
+        """Count `count` checked items at once, with these slacks; each
+        violation among them is counted by `violation`."""
         self.checked += count
         if slacks:
             lo, hi = min(slacks), max(slacks)
@@ -97,6 +92,13 @@ class LemmaStats:
                 self.min_slack = lo
             if self.max_slack is None or hi > self.max_slack:
                 self.max_slack = hi
+
+    def violation(self, note: str | None = None) -> None:
+        """Count one violation among the checked items, keeping its note
+        while fewer than MAX_VIOLATION_EXAMPLES are kept."""
+        self.violations += 1
+        if note and len(self.examples) < MAX_VIOLATION_EXAMPLES:
+            self.examples.append(note)
 
     def merge(self, other: LemmaStats) -> None:
         """Fold in the stats of the sweep that continues this one."""
@@ -230,19 +232,20 @@ def _check_level(
 
 def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
     """Pentagon count per class of a chunk of codes (if asked), and the
-    named sweeps, each read off the class's rotation system.  One
-    `edge_profile` pass per class gives the count and the path counts of
-    Lemmas 2 and 3."""
+    named sweeps, each read off the class's rotation system.  With the
+    count, one `edge_profile` pass per class gives it and the path counts
+    of Lemmas 2 and 3; without it, `_check` counts the paths alone."""
     chunk, n, names, count = args
     stats = {name: LemmaStats() for name in names}
     counts = []
     for code in chunk:
         rots = _code_rotations(code)
         rows = tuple(_rows(rots))
-        c5, p3 = kernels.edge_profile(rows, n)
+        p3 = None
         if count:
+            c5, p3 = kernels.edge_profile(rows, n)
             counts.append(sum(c5) // 5)
-        _check(stats, n, rows, rots, p3, _rotation_faces(rots))
+        _check(stats, n, rows, rots, p3)
     return counts, stats
 
 
@@ -251,19 +254,17 @@ def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
 # ---------------------------------------------------------------------------
 
 
-def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None,
-           faces=None) -> None:
+def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> None:
     """Record one graph, given by its adjacency rows and (for lemma3 and
     remark4) its rotation system, into every sweep named in `stats`.
 
-    `p3` is the graph's `paths3_per_edge` list and `faces` its triangular
-    faces; each is computed here when not given.  Each sweep records the
-    graph through `_record`."""
+    `p3` is the graph's `paths3_per_edge` list, counted here when not
+    given.  Each sweep records the graph through `_record`."""
     edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
     if "lemma1" in stats:
         _record(stats["lemma1"], [_lemma1_note(rows, n, u, v) for u, v in edges])
     if p3 is None and ("lemma2" in stats or "lemma3" in stats):
-        p3 = kernels.edge_profile(rows, n)[1]
+        p3 = kernels.paths3_per_edge(rows, n)
     if "lemma2" in stats and n >= 3:
         bound = 2 * (n - 3)
         _record(stats["lemma2"], [
@@ -272,7 +273,7 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None,
     if "lemma3" in stats and n >= 4:
         paths = dict(zip(edges, p3))
         notes, slacks = [], []
-        for face in _triangles(rots) if faces is None else faces:
+        for face in _triangles(rots):
             a, b, c = sorted(face)
             cnt = paths[a, b] + paths[b, c] + paths[a, c]
             bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
@@ -285,16 +286,15 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None,
             else f"n={n} vertex={v} rotation gap" for v, rot in enumerate(rots)])
 
 
-def _record(stats: LemmaStats, notes: list[str | None], slacks=None) -> None:
-    """Record one graph's items into a sweep: notes[i] is None when item i
-    holds, else its violation note, and slacks[i] is its slack, if the
-    sweep has slacks.  Without a violation the graph is recorded in
-    aggregate, else item by item."""
-    if not any(notes):
-        stats.record_all(len(notes), slacks or ())
-        return
-    for i, note in enumerate(notes):
-        stats.record(note is None, None if slacks is None else slacks[i], note)
+def _record(stats: LemmaStats, notes: list[str | None], slacks=()) -> None:
+    """Record one graph's items into a sweep, in aggregate: notes[i] is
+    None when item i holds, else its violation note, and slacks lists the
+    items' slacks, if the sweep has slacks.  The stats are those of one
+    `LemmaStats.record` per item."""
+    stats.record_all(len(notes), slacks)
+    for note in notes:
+        if note is not None:
+            stats.violation(note)
 
 
 def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
@@ -317,14 +317,6 @@ def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
     if tri == single_path:
         return None
     return f"n={n} edge=({u},{v}): triangulation={tri} single_path={single_path}"
-
-
-def _rotation_faces(rots) -> list[tuple[int, int, int]]:
-    """The faces of a triangulation's rotation system, as `_triangles` lists
-    them: in a triangulation every consecutive rotation pair (x, w) at v,
-    x before w, bounds the face (v, w, x), listed at its least vertex v."""
-    return [(v, w, rot[i - 1]) for v, rot in enumerate(rots)
-            for i, w in enumerate(rot) if v < w and v < rot[i - 1]]
 
 
 def _triangles(rots) -> list[tuple[int, int, int]]:
@@ -395,7 +387,7 @@ def verify_lemma3(embeddings) -> LemmaStats:
     the face, and at most 4k-9 when no vertex is adjacent to all of it.
 
     The face count is the sum of the per-edge length-3 path counts over the
-    face's three edges, taken from one `edge_profile` pass per graph.
+    face's three edges, taken from one `paths3_per_edge` pass per graph.
     """
     return _sweep(("lemma3",), ((e.graph, e.rotations) for e in embeddings))["lemma3"]
 
@@ -407,7 +399,7 @@ def verify_remark4(embeddings) -> LemmaStats:
 
 
 def verify_lemmas_over(embeddings) -> dict[str, LemmaStats]:
-    """All four sweeps; Lemmas 2 and 3 share one `edge_profile` pass."""
+    """All four sweeps; Lemmas 2 and 3 share one `paths3_per_edge` pass."""
     return _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embeddings))
 
 
@@ -512,9 +504,10 @@ def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResul
         base_c5 = count_cycles(base, 5)
         rows = base.bitrows
         cofacial = [0] * n
-        for walk in Embedding(base, [[w for w in rot if rows[v] >> w & 1]
-                                     for v, rot in enumerate(tri.rotations)])._walks():
-            mask = sum(1 << w for w in set(walk))
+        for face in Embedding(base, [[w for w in rot if rows[v] >> w & 1]
+                                     for v, rot in enumerate(tri.rotations)]).faces:
+            walk = face.vertex_set()
+            mask = sum(1 << w for w in walk)
             for w in walk:
                 cofacial[w] |= mask
         for u in range(n):

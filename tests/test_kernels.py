@@ -2,8 +2,8 @@
 be indistinguishable on every kernel.  The pure canonical embedding code is
 also checked against a full-minimum reference that has neither early abort
 nor start-edge pruning, and the pure closed-form cycle and path counts
-(`edge_profile` and the kernels built on it) against the 5-path and 3-path
-loops they replaced."""
+(`edge_profile` and the kernels built on it) against the 5-path loop they
+replaced and the 3-path loop of `paths3_per_edge`."""
 
 import random
 from itertools import combinations
@@ -209,9 +209,8 @@ def test_min_code_requires_connected():
         pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
 
 
-# The pure edge_profile, cycle_counts, c5_per_edge and paths3_per_edge count
-# in closed form; these are the loops they replaced, kept verbatim as
-# references.
+# The pure edge_profile, cycle_counts and c5_per_edge count in closed form;
+# these are the loops they replaced, kept verbatim as references.
 
 
 def _bits(mask: int):
@@ -258,27 +257,12 @@ def _c5_per_edge_reference(rows: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def _paths3_per_edge_reference(rows: tuple[int, ...], n: int) -> list[int]:
-    """paths3_between for every edge, in edge order."""
-    out = []
-    for u in range(n):
-        ru = rows[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            rv = rows[v]
-            mask_u = ~(1 << u)
-            total = 0
-            for x in _bits(ru & ~(1 << v)):
-                total += (rows[x] & rv & mask_u).bit_count()
-            out.append(total)
-    return out
-
-
 def _assert_closed_forms(g):
     rows, n = g.bitrows, g.n
-    c5, p3 = _c5_per_edge_reference(rows, n), _paths3_per_edge_reference(rows, n)
+    # the pure paths3_per_edge keeps the 3-path loop
+    c5, p3 = _c5_per_edge_reference(rows, n), pure.paths3_per_edge(rows, n)
     assert pure.edge_profile(rows, n) == (c5, p3), g.edges()
     assert pure.c5_per_edge(rows, n) == c5, g.edges()
-    assert pure.paths3_per_edge(rows, n) == p3, g.edges()
     assert pure.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
     # the dispatcher; graphs with n > 64 take the pure fallback
     assert kernels.edge_profile(rows, n) == (c5, p3), g.edges()

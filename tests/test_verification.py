@@ -41,7 +41,7 @@ from pentaplanar.verification import (
     verify_theorem,
 )
 
-from .test_kernels import _c5_per_edge_reference, _paths3_per_edge_reference
+from .test_kernels import _c5_per_edge_reference
 
 
 def test_expected_values():
@@ -323,7 +323,7 @@ def test_lemma3_matches_pairwise_reference():
 
 def test_lemmas_over_share_one_path_pass(monkeypatch):
     """verify_lemmas_over gives the same stats as the separate sweeps and
-    makes one edge_profile pass per graph, not one per sweep."""
+    makes one paths3_per_edge pass per graph, not one per sweep."""
     embs = [e for n in range(5, 10) for e in corpus(n)]
     graphs = [e.graph for e in embs]
     separate = {
@@ -333,13 +333,13 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
         "remark4": verify_remark4(embs),
     }
     calls = []
-    real = kernels.edge_profile
+    real = kernels.paths3_per_edge
 
     def counted(rows, n):
         calls.append(n)
         return real(rows, n)
 
-    monkeypatch.setattr(kernels, "edge_profile", counted)
+    monkeypatch.setattr(kernels, "paths3_per_edge", counted)
     shared = verify_lemmas_over(embs)
     assert len(calls) == len(embs)
     assert {k: v.to_json_dict() for k, v in shared.items()} == {
@@ -350,7 +350,7 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
 # ---------------------------------------------------------------------------
 # Reference route for the per-class check: the per-item check it replaced,
 # one record per edge, face and vertex, every common neighbourhood flooded,
-# faces traced by `_triangles` and paths counted by the loop reference
+# faces traced by `_triangles` and paths counted by the pure 3-path loop
 # ---------------------------------------------------------------------------
 
 
@@ -373,7 +373,7 @@ def _check_reference(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> N
             stats["lemma1"].record(ok, note=None if ok else f"n={n} edge=({u},{v}): "
                                    f"triangulation={tri} single_path={single_path}")
     if "lemma2" in stats or "lemma3" in stats:
-        paths = dict(zip(edges, _paths3_per_edge_reference(rows, n)))
+        paths = dict(zip(edges, kernels._purekern.paths3_per_edge(rows, n)))
     if "lemma2" in stats and n >= 3:
         bound = 2 * (n - 3)
         for (u, v), cnt in paths.items():
