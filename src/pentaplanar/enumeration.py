@@ -29,14 +29,31 @@ arc endpoints), so the strict comparison never rejects it against itself;
 ties between equally small edges keep several children of one class, which
 the code set merges.
 
+Most of those children are rejected on the parent alone, before any child
+row is patched (103 257 of the 150 139 splits of the n = 11 level).  A
+split of v changes adjacency only at v, the new vertex and the vertices of
+N(v).  An edge xy with both endpoints outside N[v] = N(v) + v
+is adjacent to neither v nor the new vertex, so in every child of v it
+keeps its rows, hence its degrees, its common neighbours, its f and its
+contractibility.  Let far(v) be the least f over the parent's contractible
+edges outside N[v] (`_far_keys`).  A split of v whose rotation gap
+g = j - i gives the new edge f = sorted(g + 2, deg v - g + 2) > far(v)
+has a contractible edge of smaller f in its child, so the exact check
+would reject it; `_candidate_splits` skips all deg v - g of them at once.
+The surviving splits go to the exact check (`_new_edge_is_minimal`), so
+the kept splits, and with them the codes, are those of the exact check on
+every split.
+
 A level is the sorted tuple of its classes' flat canonical codes (per
 vertex, its degree and then its neighbours in rotation order), as
-`embedding_min_code` returns them; `_code_rotations` is the one decoder.
-The codes are all that is kept.  The next level, the per-class checks in
-`verification` and the graph6 dump read the rotation system or the bit
-rows straight off a code; an `Embedding` (with its validated `Graph`) is
-built by `code_to_embedding` only where a caller asks for one: `corpus`,
-a visitor, and the classes `verification` draws or reports.
+`embedding_min_code` returns them; `_code_rotations` decodes one, and
+`_code_graph6` writes its graph6 line without decoding it.  The codes are
+all that is kept.  The next level and the per-class checks in
+`verification` read the rotation system or the bit rows straight off a
+code, and the graph6 dump reads the code itself; an `Embedding` (with its
+validated `Graph`) is built by `code_to_embedding` only where a caller
+asks for one: `corpus`, a visitor, and the classes `verification` draws or
+reports.
 
 One builder, `_grow`, turns a level into the next ones; `corpus_codes` uses
 it to fill only the levels its process-lifetime cache (`_LEVELS`) lacks.
@@ -48,15 +65,18 @@ the sorted level per worker, and each worker decodes its parents; the batch
 code sets are merged and sorted, so the result does not depend on the
 worker count.
 
-Correctness is defined by oracle equivalence: `bruteforce_triangulations`
-re-derives the small levels by filtering every graph with 3n - 6 edges for
-planarity and all-triangle faces, with no shared machinery.
+Correctness is defined by oracle equivalence, with no shared machinery:
+`bruteforce_triangulations` re-derives the levels up to n = 7 by filtering
+every graph with 3n - 6 edges for planarity and all-triangle faces, and
+`flip_graph_triangulations` those up to n = 11 by a search over diagonal
+flips, told apart by the general-graph canonical form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -65,13 +85,15 @@ from typing import Callable, Iterable, Iterator
 from . import kernels
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
-from .graphs import Graph, GraphError, _bits, _graph6
+from .families import build_D
+from .graphs import Graph, GraphError, _bits, _graph6_text, complete_graph
 
 SCHEMA_VERSION = 1
 
 MIN_N = 4
 MAX_N = 14          # hard cap: desk scale
 BRUTEFORCE_MAX_N = 7
+FLIP_ORACLE_MAX_N = 11
 
 # Tetrahedron rotation system, consistently oriented (the generation seed);
 # its facial walks are (0,1,2), (0,2,3), (0,3,1), (1,3,2).
@@ -203,21 +225,57 @@ def _new_edge_is_minimal(
     return True
 
 
+# above every f key: degrees stay below 256
+_NO_KEY = 1 << 16
+
+
+def _far_keys(
+    rotations: tuple[tuple[int, ...], ...], rows: list[int], degs: list[int]
+) -> list[int]:
+    """Per vertex v, the least f key over the contractible edges with both
+    endpoints outside N[v] (`_NO_KEY` if there is none).  The key of
+    f = (lo, hi) is lo << 8 | hi, which orders like f."""
+    edges = []
+    for x, rot in enumerate(rotations):
+        rx, dx = rows[x], degs[x]
+        for y in rot:
+            if y > x and (rx & rows[y]).bit_count() == 2:
+                dy = degs[y]
+                edges.append((dx << 8 | dy if dx <= dy else dy << 8 | dx, 1 << x | 1 << y))
+    edges.sort()
+    return [next((key for key, ends in edges if not ends & (row | 1 << v)), _NO_KEY)
+            for v, row in enumerate(rows)]
+
+
+def _candidate_splits(
+    rotations: tuple[tuple[int, ...], ...], rows: list[int], degs: list[int]
+) -> Iterator[tuple[int, int, int]]:
+    """The splits (v, i, j) that no contractible edge outside N[v] rejects:
+    those whose new edge's f key is at most far(v) (`_far_keys`)."""
+    for v, far in enumerate(_far_keys(rotations, rows, degs)):
+        d = degs[v]
+        for g in range(1, d):
+            lo, hi = (g + 2, d - g + 2) if 2 * g <= d else (d - g + 2, g + 2)
+            if lo << 8 | hi <= far:
+                for i in range(d - g):
+                    yield v, i, i + g
+
+
 def _expand_batch(batch: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """Canonical codes of the children of a batch of parent codes,
     restricted to the children whose new edge passes the canonical-edge
-    filter (`_new_edge_is_minimal`)."""
+    filter: the threshold of `_candidate_splits`, then the exact
+    `_new_edge_is_minimal`."""
     codes: set[tuple[int, ...]] = set()
     for code in batch:
         rotations = _code_rotations(code)
         child_n = len(rotations) + 1
         degs = [len(r) for r in rotations]
         rows = _rows(rotations)
-        for v, rot_v in enumerate(rotations):
-            for i, j in combinations(range(degs[v]), 2):
-                if _new_edge_is_minimal(rows, degs, v, rot_v, i, j):
-                    child = split_vertex(rotations, v, i, j)
-                    codes.add(kernels.embedding_min_code(child, child_n))
+        for v, i, j in _candidate_splits(rotations, rows, degs):
+            if _new_edge_is_minimal(rows, degs, v, rotations[v], i, j):
+                child = split_vertex(rotations, v, i, j)
+                codes.add(kernels.embedding_min_code(child, child_n))
     return codes
 
 
@@ -296,9 +354,24 @@ def _certificate(n: int, lines: list[str]) -> EnumerationCertificate:
 
 def corpus_graph6(n: int, workers: int = 1) -> list[str]:
     """One graph6 line per class, sorted lexicographically (dump format),
-    written from each code's bit rows."""
-    return sorted(_graph6(n, _rows(_code_rotations(code)))
-                  for code in corpus_codes(n, workers=workers))
+    written straight from each code (`_code_graph6`)."""
+    return sorted(_code_graph6(n, code) for code in corpus_codes(n, workers=workers))
+
+
+def _code_graph6(n: int, code: tuple[int, ...]) -> str:
+    """graph6 of the n-vertex class with flat code `code`: each edge wv with
+    w < v, read off v's rotation, sets body bit v(v-1)/2 + w."""
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    pos = base = 0
+    for v in range(n):
+        end = pos + 1 + code[pos]
+        for w in code[pos + 1 : end]:
+            if w < v:
+                p = base + w
+                body[p // 6] |= 32 >> p % 6
+        pos = end
+        base += v
+    return _graph6_text(n, body)
 
 
 def _digest(lines: Iterable[str]) -> str:
@@ -336,3 +409,52 @@ def bruteforce_triangulations(n: int) -> list[str]:
         if isinstance(emb, Embedding) and is_triangulation(emb):
             forms.add(canonical_form(g))
     return sorted(forms)
+
+
+def flip_graph_triangulations(n: int) -> list[str]:
+    """Oracle: canonical forms of all n-vertex triangulations, by a
+    breadth-first search over diagonal flips from an embedding of `D_n`
+    (K4 at n = 4).
+
+    Any two triangulations on n vertices are joined by a sequence of flips
+    (Wagner 1936), so the search reaches every class.  Edge uv, with faces
+    u-v-b and v-u-a on its two sides, flips to ab when a and b are not
+    adjacent and u and v both have degree at least 4.  Every flipped
+    rotation system goes through the `Embedding` constructor, and classes
+    are told apart by `canon.canonical_form`; nothing is shared with the
+    splitting generator or its embedding code.
+    """
+    if not (MIN_N <= n <= FLIP_ORACLE_MAX_N):
+        raise GraphError(
+            f"flip-graph triangulation oracle supports {MIN_N} <= n <= {FLIP_ORACLE_MAX_N}"
+        )
+    start = planar_embed(build_D(n) if n > MIN_N else complete_graph(MIN_N))
+    forms = {canonical_form(start.graph)}
+    queue = deque([start.rotations])
+    while queue:
+        rots = queue.popleft()
+        for u, rot_u in enumerate(rots):
+            d = len(rot_u)
+            for k, v in enumerate(rot_u):
+                a, b = rot_u[k - 1], rot_u[(k + 1) % d]
+                if v < u or d < 4 or len(rots[v]) < 4 or a in rots[b]:
+                    continue
+                flipped = list(rots)
+                flipped[u] = rot_u[:k] + rot_u[k + 1 :]
+                flipped[v] = tuple(w for w in rots[v] if w != u)
+                flipped[a] = _insert_between(rots[a], u, v, b)
+                flipped[b] = _insert_between(rots[b], u, v, a)
+                g = Graph(n, [(x, y) for x, rot in enumerate(flipped) for y in rot if x < y])
+                emb = Embedding(g, flipped)
+                form = canonical_form(g)
+                if form not in forms:
+                    forms.add(form)
+                    queue.append(emb.rotations)
+    return sorted(forms)
+
+
+def _insert_between(rot: tuple[int, ...], p: int, q: int, x: int) -> tuple[int, ...]:
+    """`rot` with x placed between p and q, which are cyclically adjacent."""
+    i, j = sorted((rot.index(p), rot.index(q)))
+    at = j if j == i + 1 else len(rot)  # (0, len - 1): the pair wraps round
+    return rot[:at] + (x,) + rot[at:]

@@ -243,12 +243,29 @@ def to_graph6(g: Graph) -> str:
 
 def _graph6(n: int, rows: Sequence[int]) -> str:
     """graph6 of the graph on 0..n-1 with adjacency bit rows `rows`: column v
-    is bits 0..v-1 of rows[v], least vertex first."""
-    bits = "".join(format(rows[v] & ~(-1 << v), f"0{v}b")[::-1]
-                   for v in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
-    return (_encode_g6_size(n) + body).decode("ascii")
+    is bits 0..v-1 of rows[v], least vertex first, so edge uv with u < v is
+    bit v(v-1)/2 + u of the body (`_graph6_text`)."""
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    base = 0
+    for v in range(1, n):
+        column = rows[v] & ~(-1 << v)
+        while column:
+            low = column & -column
+            p = base + low.bit_length() - 1
+            body[p // 6] |= 32 >> p % 6
+            column ^= low
+        base += v
+    return _graph6_text(n, body)
+
+
+# adds the graph6 offset 63 to every 6-bit value of a body
+_G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
+
+
+def _graph6_text(n: int, body: bytearray) -> str:
+    """graph6 line of size n whose body holds the upper-triangle bits, bit p
+    of the column-major order as bit 5 - p % 6 of byte p // 6."""
+    return (_encode_g6_size(n) + body.translate(_G6_OFFSET)).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

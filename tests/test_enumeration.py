@@ -1,11 +1,16 @@
 import json
+import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from pentaplanar.canon import canonical_form
-from pentaplanar.embeddings import is_triangulation
+from pentaplanar.embeddings import is_triangulation, planar_embed
 from pentaplanar import enumeration, kernels, verification
 from pentaplanar.enumeration import (
+    _candidate_splits,
+    _code_rotations,
     _expand_batch,
     _grow,
     _new_edge_is_minimal,
@@ -16,9 +21,10 @@ from pentaplanar.enumeration import (
     corpus_codes,
     corpus_graph6,
     enumerate_triangulations,
+    flip_graph_triangulations,
     split_vertex,
 )
-from pentaplanar.graphs import GraphError, parse_graph6
+from pentaplanar.graphs import Graph, GraphError, parse_graph6
 from pentaplanar.verification import verify_monotonicity, verify_theorem
 
 # published class counts of planar triangulations (simplicial polyhedra)
@@ -185,19 +191,133 @@ def _new_edge_is_minimal_reference(child, v):
     )
 
 
-def test_child_filter_matches_reference_and_rejects_most_children():
-    kept = total = 0
-    for parent in corpus(10):
-        rot = parent.rotations
-        degs = [len(r) for r in rot]
-        rows = [sum(1 << w for w in r) for r in rot]
-        for v, i, j in _splits(rot):
-            keep = _new_edge_is_minimal(rows, degs, v, rot[v], i, j)
-            assert keep == _new_edge_is_minimal_reference(split_vertex(rot, v, i, j), v)
-            total += 1
-            kept += keep
+def _rows_and_degs(rotations):
+    return [sum(1 << w for w in r) for r in rotations], [len(r) for r in rotations]
+
+
+def _as_code(rotations):
+    """A flat code of any rotation system, in the format `_expand_batch` reads."""
+    return tuple(x for rot in rotations for x in (len(rot), *rot))
+
+
+@pytest.fixture
+def min_code_calls(monkeypatch):
+    """The child rotation systems `_expand_batch` hands to
+    `embedding_min_code`, which returns them uncoded."""
+    for n in range(4, 12):
+        corpus_codes(n)  # fill the level cache before the kernel is replaced
+    calls = []
+    monkeypatch.setattr(kernels, "embedding_min_code", lambda rot, n: calls.append(rot) or rot)
+    return calls
+
+
+def _assert_filter_matches_reference(rotations, calls):
+    """Every split of one parent: the exact filter agrees with the reference,
+    the threshold skips none that the reference keeps, and exactly the
+    reference's children reach `embedding_min_code`.  Returns the numbers of
+    splits, threshold survivors and kept children."""
+    rows, degs = _rows_and_degs(rotations)
+    candidates = set(_candidate_splits(rotations, rows, degs))
+    kept = []
+    total = 0
+    for v, i, j in _splits(rotations):
+        child = split_vertex(rotations, v, i, j)
+        keep = _new_edge_is_minimal_reference(child, v)
+        assert _new_edge_is_minimal(rows, degs, v, rotations[v], i, j) == keep
+        assert (v, i, j) in candidates or not keep
+        total += 1
+        if keep:
+            kept.append(child)
+    calls.clear()
+    _expand_batch([_as_code(rotations)])
+    assert sorted(calls) == sorted(kept)
+    return total, len(candidates), len(kept)
+
+
+def test_child_filter_matches_reference_and_rejects_most_children(min_code_calls):
+    for n in range(4, 11):
+        tallies = [_assert_filter_matches_reference(_code_rotations(code), min_code_calls)
+                   for code in corpus_codes(n)]
+    total, _, kept = map(sum, zip(*tallies))  # the n = 10 level
     assert total == 23857
     assert kept < 0.2 * total
+
+
+def test_threshold_skips_two_thirds_of_the_splits():
+    total = candidates = 0
+    for code in corpus_codes(11):
+        rotations = _code_rotations(code)
+        candidates += sum(1 for _ in _candidate_splits(rotations, *_rows_and_degs(rotations)))
+        total += sum(1 for _ in _splits(rotations))
+    assert (total, candidates) == (150139, 46882)
+
+
+def _random_triangulation_rotations(n, min_degree, rng):
+    """A triangulation stacked from K4 by face insertions, mixed by random
+    flips, then flipped towards minimum degree `min_degree` at the edges
+    opposite its low vertices; its rotation system under a random labeling,
+    or None if the minimum degree was not reached."""
+    faces = {frozenset(f) for f in combinations(range(4), 3)}
+    for v in range(4, n):
+        f = rng.choice(sorted(faces, key=sorted))
+        faces.remove(f)
+        faces |= {frozenset(p) | {v} for p in combinations(f, 2)}
+    edges = {frozenset(p) for f in faces for p in combinations(f, 2)}
+    deg = Counter(x for e in edges for x in e)
+
+    def flip(e):
+        f1, f2 = [f for f in faces if e <= f]
+        (c,), (d,) = f1 - e, f2 - e
+        a, b = e
+        if frozenset((c, d)) in edges or deg[a] < 4 or deg[b] < 4:
+            return
+        faces.difference_update((f1, f2))
+        faces.update((frozenset((a, c, d)), frozenset((b, c, d))))
+        edges.symmetric_difference_update((e, frozenset((c, d))))
+        deg.update((c, d))
+        deg.subtract((a, b))
+
+    for _ in range(3 * n):
+        flip(rng.choice(sorted(edges, key=sorted)))
+    for _ in range(40 * n):
+        low = [x for x in range(n) if deg[x] < min_degree]
+        if not low:
+            break
+        x = rng.choice(low)
+        flip(rng.choice(sorted((f for f in faces if x in f), key=sorted)) - {x})
+    if min(deg.values()) < min_degree:
+        return None
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return planar_embed(Graph(n, [(perm[a], perm[b]) for a, b in edges])).rotations
+
+
+def test_child_filter_matches_reference_on_random_min_degree_4_and_5(min_code_calls):
+    # a triangulation with a smaller-f edge but no smaller-f contractible
+    # edge than some new edge needs minimum degree 4 or 5 (CHANGES.md)
+    rng = random.Random(1212)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randint(12, 30)
+        min_degree = rng.choice((4, 5))
+        rotations = _random_triangulation_rotations(n, min_degree, rng)
+        if rotations is None:
+            continue
+        seen[min(map(len, rotations))] += 1
+        _assert_filter_matches_reference(rotations, min_code_calls)
+    assert seen[4] >= 10 and seen[5] >= 10, seen
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_flip_graph_oracle_matches_generator(n):
+    assert flip_graph_triangulations(n) == sorted(canonical_form(e.graph) for e in corpus(n))
+
+
+def test_flip_graph_oracle_range_check():
+    with pytest.raises(GraphError):
+        flip_graph_triangulations(3)
+    with pytest.raises(GraphError):
+        flip_graph_triangulations(12)
 
 
 def test_range_checks():

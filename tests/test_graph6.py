@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaplanar.enumeration import corpus
+from pentaplanar.enumeration import _code_graph6, _code_rotations, _rows, corpus, corpus_codes
 from pentaplanar.graphs import (
     GRAPH6_HEADER,
     Graph,
     GraphError,
     _decode_g6_size,
+    _encode_g6_size,
+    _graph6,
     complete_graph,
     parse_edge_list_text,
     parse_graph6,
@@ -143,6 +145,32 @@ def test_parse_matches_reference_on_corpus():
         for emb in corpus(n):
             text = to_graph6(emb.graph)
             assert parse_graph6(text) == _parse_graph6_reference(text) == emb.graph
+
+
+def _graph6_reference(n: int, rows) -> str:
+    """Reference encoder: the upper triangle written out as a '0'/'1'
+    string, column by column, and parsed back six characters at a time."""
+    bits = "".join(format(rows[v] & ~(-1 << v), f"0{v}b")[::-1]
+                   for v in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return (_encode_g6_size(n) + body).decode("ascii")
+
+
+def test_encoder_matches_reference_on_random_graphs():
+    rng = random.Random(6007)
+    for n in list(range(0, 30)) + [40, 62, 63, 64, 65, 80, 99, 100]:
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            assert _graph6(n, g.bitrows) == _graph6_reference(n, g.bitrows), (n, p)
+
+
+def test_code_encoder_matches_reference_on_corpus():
+    for n in range(4, 12):
+        for code in corpus_codes(n):
+            rows = _rows(_code_rotations(code))
+            assert _code_graph6(n, code) == _graph6(n, rows) == _graph6_reference(n, rows)
 
 
 @pytest.mark.parametrize(
