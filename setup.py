@@ -1,29 +1,16 @@
-"""Build script: compiles the optional bit-kernel extension.
+"""Build script: compiles the optional bit-kernel extension from the
+hand-written C in `src/pentaplanar/_fastkern.c`.
 
-The package works without the extension (a pure-Python fallback is selected
-at import time); the compiled kernel speeds up the counting and enumeration
-hot loops by roughly an order of magnitude.
+The package works without it (the pure-Python kernels are picked at import
+time), so the extension is optional: a failed compile leaves a pure-Python
+install.  `python setup.py build_ext --inplace` builds it next to the
+sources.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "pentaplanar._fastkern",
-                ["src/pentaplanar/_fastkern.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # No Cython: install pure-Python only.
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension("pentaplanar._fastkern", ["src/pentaplanar/_fastkern.c"], optional=True)
+    ]
+)

@@ -1,10 +1,10 @@
 """Pure-Python bit kernels: the fallback backend.
 
 Covers every kernel of the compiled extension `_fastkern`, with identical
-results (ints, lists, tuples), plus `edge_profile`, which the compiled
-module lacks (the dispatcher in `kernels` composes it there).  Adjacency
-rows are arbitrary precision Python ints, so this backend works for any n,
-whereas the compiled one is limited to n <= 64.
+results (ints, lists, tuples), plus `paths3_between`, which the dispatcher
+in `kernels` always runs here.  Adjacency rows are arbitrary precision
+Python ints, so this backend works for any n, whereas the compiled one is
+limited to n <= 64.
 
 Hot-loop conventions shared by both backends:
   * edge order is u < v ascending lexicographic, matching Graph.edges();
@@ -15,12 +15,12 @@ Hot-loop conventions shared by both backends:
     entry neighbor.
 
 The compiled backend enumerates the paths u-a-b-c-v and u-x-y-v of each
-edge.  This one counts them in closed form from bit-sliced codegrees
-(`_codegree_planes`; see `edge_profile` and `c5_per_edge` for the
-derivations), which costs a few popcounts per edge instead of one per
-(a, c) pair; `edge_profile` reads both counts off one set of planes.
+edge in one loop.  This one counts them in closed form from bit-sliced
+codegrees (`_codegree_planes`; see `edge_profile` for the derivations),
+which costs a few popcounts per edge instead of one per (a, c) pair.
 `paths3_per_edge` and `paths3_between` keep the loop: their one level of
-nesting is already cheap.
+nesting is already cheap.  Both backends compute `embedding_min_code` by
+the same algorithm, and raise ValueError on the same inputs.
 """
 
 from __future__ import annotations
@@ -61,15 +61,49 @@ def _codegree_planes(rows: tuple[int, ...], nbrs: list[list[int]]) -> list[list[
 
 
 def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """Per edge, in edge order: the 5-cycles through it (`c5_per_edge`) and
-    the paths u-x-y-v on four distinct vertices (`paths3_per_edge`), both
-    from one `_codegree_planes` pass.
+    """Per edge, in edge order: the 5-cycles through it (c5) and the paths
+    u-x-y-v on four distinct vertices (p3), both from one
+    `_codegree_planes` pass.
 
     The walks u-x-y-v number sum_{y in N(v)} W(u, y); those with x = v
     number deg v, those with y = u deg u, and the one walk u-v-u-v has
     both, so p3(uv) = sum_{y in N(v)} W(u, y) - deg u - deg v + 1.  The
     term y = u is W(u, u) = deg u, so over the planes P[u][i], which leave
     u out, p3(uv) = sum_i 2^i |P[u][i] & N(v)| - deg v + 1.
+
+    c5(uv) is the number of paths u-a-b-c-v on five distinct vertices,
+    in closed form over the codegrees W (Alon, Yuster & Zwick, "Finding and
+    counting given length cycles", Algorithmica 17, 1997).  Write d(x) for
+    deg x and t = W(u, v).
+
+    The walks u-a-b-c-v number A4(u, v) = sum_b W(u, b) W(b, v), with
+    W(b, b) = d(b).  A walk is a path unless one of five events holds
+    (a != u, b != a, c != b and c != v hold in any walk, as the graph has
+    no loops):
+      E1  a = v: walks u-v-b-c-v, one per b in N(v), c in N(b) & N(v):
+          a3(v) = sum_{x in N(v)} W(v, x), twice the triangles at v;
+      E2  c = u: walks u-a-b-u-v, likewise a3(u);
+      E3  a = c: walks u-a-b-a-v with a in N(u) & N(v), b in N(a):
+          sum_{w in N(u) & N(v)} d(w);
+      E4  b = u: walks u-a-u-c-v: d(u) t;
+      E5  b = v: walks u-a-v-c-v: t d(v).
+    Five pairs of events can hold together, each on t walks: E1 E2
+    (u-v-b-u-v), E1 E4 (u-v-u-c-v), E2 E5 (u-a-v-u-v), E3 E4 (u-a-u-a-v)
+    and E3 E5 (u-a-v-a-v).  The other five pairs force a loop (E1 E3,
+    E1 E5, E2 E3, E2 E4) or u = v (E4 E5), and so does every triple, since
+    each contains one of those pairs.  Inclusion-exclusion gives
+
+      c5(uv) = A4(u, v) - a3(u) - a3(v) + t (5 - d(u) - d(v))
+               - sum_{w in N(u) & N(v)} d(w).
+
+    The terms b = u and b = v of A4 are d(u) t and t d(v).  The rest,
+    A4'(u, v), is sum_{i,j} 2^(i+j) |P[u][i] & P[v][j]| over the planes of
+    `_codegree_planes`, where P[u][i] holds the x != u with bit i of
+    W(u, x) set: neither P[u][i] holds u nor P[v][j] holds v.  So
+
+      c5(uv) = A4'(u, v) - a3(u) - a3(v) + 5t - sum_{w in N(u) & N(v)} d(w),
+
+    which the loop below evaluates.
     """
     nbrs = [list(_bits(r)) for r in rows]
     deg = [len(nu) for nu in nbrs]
@@ -112,46 +146,6 @@ def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
         for v in _bits(ru >> (u + 1) << (u + 1)):
             t3 += (ru & rows[v]).bit_count()
     return t3 // 3, sum(p3) // 4, sum(c5) // 5
-
-
-def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    """For each edge {u,v}: number of 5-cycles using that edge.
-
-    The count is that of the paths u-a-b-c-v on five distinct vertices,
-    in closed form over the codegrees W (Alon, Yuster & Zwick, "Finding and
-    counting given length cycles", Algorithmica 17, 1997).  Write d(x) for
-    deg x and t = W(u, v).
-
-    The walks u-a-b-c-v number A4(u, v) = sum_b W(u, b) W(b, v), with
-    W(b, b) = d(b).  A walk is a path unless one of five events holds
-    (a != u, b != a, c != b and c != v hold in any walk, as the graph has
-    no loops):
-      E1  a = v: walks u-v-b-c-v, one per b in N(v), c in N(b) & N(v):
-          a3(v) = sum_{x in N(v)} W(v, x), twice the triangles at v;
-      E2  c = u: walks u-a-b-u-v, likewise a3(u);
-      E3  a = c: walks u-a-b-a-v with a in N(u) & N(v), b in N(a):
-          sum_{w in N(u) & N(v)} d(w);
-      E4  b = u: walks u-a-u-c-v: d(u) t;
-      E5  b = v: walks u-a-v-c-v: t d(v).
-    Five pairs of events can hold together, each on t walks: E1 E2
-    (u-v-b-u-v), E1 E4 (u-v-u-c-v), E2 E5 (u-a-v-u-v), E3 E4 (u-a-u-a-v)
-    and E3 E5 (u-a-v-a-v).  The other five pairs force a loop (E1 E3,
-    E1 E5, E2 E3, E2 E4) or u = v (E4 E5), and so does every triple, since
-    each contains one of those pairs.  Inclusion-exclusion gives
-
-      c5(uv) = A4(u, v) - a3(u) - a3(v) + t (5 - d(u) - d(v))
-               - sum_{w in N(u) & N(v)} d(w).
-
-    The terms b = u and b = v of A4 are d(u) t and t d(v).  The rest,
-    A4'(u, v), is sum_{i,j} 2^(i+j) |P[u][i] & P[v][j]| over the planes of
-    `_codegree_planes`, where P[u][i] holds the x != u with bit i of
-    W(u, x) set: neither P[u][i] holds u nor P[v][j] holds v.  So
-
-      c5(uv) = A4'(u, v) - a3(u) - a3(v) + 5t - sum_{w in N(u) & N(v)} d(w),
-
-    which `edge_profile` evaluates.
-    """
-    return edge_profile(rows, n)[0]
 
 
 def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:

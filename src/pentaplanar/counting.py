@@ -3,11 +3,13 @@ paths between vertex pairs, and length-3 paths anchored on a triangle.
 
 `count_cycles` is the production counter: per-edge path counts, summed
 over the edges.  `cycle_report` takes the per-edge 4- and 5-cycle counts
-from one `kernels.edge_profile` call.  The compiled kernels enumerate the
-paths over bitmask rows; the pure ones count them in closed form from one
-pass of bit-sliced codegrees (see `_purekern`).  `count_cycles_bruteforce`
-re-counts by exhaustive ordered walk enumeration and exists purely as an
-independent oracle; it must never share code with the production path.
+from one `kernels.edge_profile` call.  The compiled kernel (C, n <= 64)
+enumerates the paths of each edge over 64-bit rows in one loop; the pure
+one counts them in closed form from one pass of bit-sliced codegrees (see
+`_purekern`).  `count_paths3` checks one vertex pair and always runs
+pure.  `count_cycles_bruteforce` re-counts by exhaustive ordered walk
+enumeration and exists purely as an independent oracle; it must never
+share code with the production path.
 """
 
 from __future__ import annotations

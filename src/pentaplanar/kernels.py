@@ -1,13 +1,12 @@
 """Backend selection for the bit kernels.
 
-The compiled extension (`_fastkern`, Cython) is used when it was built and
-the graph fits in 64-bit rows; otherwise the pure-Python twin (`_purekern`)
-takes over.  Setting PENTAPLANAR_KERNEL=pure forces the fallback, which is
-how the benchmark and the parity tests exercise both sides.  The backend is
-chosen once, when this module is imported.  `edge_profile`, the per-class
-pass of `verification` and `counting.cycle_report`, exists only in the pure
-module; on the compiled side it calls this module's `c5_per_edge` and
-`paths3_per_edge`, so a wrapper installed on those names sees the calls.
+The compiled extension `_fastkern` (hand-written C) is used when it was
+built and the graph fits in 64-bit rows (n <= 64); otherwise the
+pure-Python twin `_purekern` takes over.  Setting PENTAPLANAR_KERNEL=pure
+forces the fallback, which is how the benchmark and the parity tests
+exercise both sides.  The backend is chosen once, when this module is
+imported, and every kernel follows the same rule.  `paths3_between` checks
+a single vertex pair and always runs pure.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ except ImportError:
     _fastkern = None
 
 _FAST_MAX_N = 64
-_FAST_MAX_FLAT = 512
 
 _fast = None if os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure" else _fastkern
 
@@ -51,26 +49,22 @@ def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
     return _pick(n).cycle_counts(rows, n)
 
 
-def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    return _pick(n).c5_per_edge(rows, n)
-
-
 def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """(c5_per_edge, paths3_per_edge) in one call."""
-    if _pick(n) is _purekern:
-        return _purekern.edge_profile(rows, n)
-    return c5_per_edge(rows, n), paths3_per_edge(rows, n)
+    """(c5 per edge, paths3_per_edge) in one call."""
+    return _pick(n).edge_profile(rows, n)
 
 
-def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
-    return _pick(n).paths3_between(rows, n, u, v)
+def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
+    return edge_profile(rows, n)[0]
 
 
 def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     return _pick(n).paths3_per_edge(rows, n)
 
 
+def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
+    return _purekern.paths3_between(rows, n, u, v)
+
+
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    if _fast is not None and n <= _FAST_MAX_N and sum(map(len, rot)) <= _FAST_MAX_FLAT:
-        return _fast.embedding_min_code(rot, n)
-    return _purekern.embedding_min_code(rot, n)
+    return _pick(n).embedding_min_code(rot, n)

@@ -1,10 +1,11 @@
 """Backend parity: the compiled extension and the pure-Python fallback must
-be indistinguishable on every kernel.  The pure canonical embedding code is
-also checked against a full-minimum reference that has neither early abort
-nor start-edge pruning, and the pure closed-form cycle and path counts
-(`edge_profile` and the kernels built on it) against the 5-path loop they
-replaced and the 3-path loop of `paths3_per_edge`."""
+be indistinguishable on every kernel.  Each built backend's canonical
+embedding code is also checked against a full-minimum reference that has
+neither early abort nor start-edge pruning, and the pure closed-form cycle
+and path counts (`edge_profile` and the kernels built on it) against the
+5-path loop they replaced and the 3-path loop of `paths3_per_edge`."""
 
+import os
 import random
 from itertools import combinations
 
@@ -36,18 +37,13 @@ def _families(max_n):
 
 
 def _assert_cycle_counts_parity(g):
-    assert pure.cycle_counts(g.bitrows, g.n) == tuple(
-        int(x) for x in fast().cycle_counts(g.bitrows, g.n)
-    )
+    assert pure.cycle_counts(g.bitrows, g.n) == fast().cycle_counts(g.bitrows, g.n)
 
 
 def _assert_per_edge_parity(g):
-    assert pure.c5_per_edge(g.bitrows, g.n) == [
-        int(x) for x in fast().c5_per_edge(g.bitrows, g.n)
-    ]
-    assert pure.paths3_per_edge(g.bitrows, g.n) == [
-        int(x) for x in fast().paths3_per_edge(g.bitrows, g.n)
-    ]
+    rows, n = g.bitrows, g.n
+    assert pure.edge_profile(rows, n) == fast().edge_profile(rows, n)
+    assert pure.paths3_per_edge(rows, n) == fast().paths3_per_edge(rows, n)
 
 
 @needs_compiled
@@ -70,27 +66,10 @@ def test_per_edge_parity(g):
 
 
 @needs_compiled
-def test_per_edge_parity_on_families():
-    for g in _families(64):
-        _assert_per_edge_parity(g)
-
-
-@needs_compiled
-def test_edge_profile_parity_on_corpus_and_families():
-    # the dispatcher composes the compiled per-edge loops; n > 64 goes pure
+def test_per_edge_parity_on_corpus_and_families():
     graphs = [e.graph for n in range(4, 11) for e in corpus(n)]
-    for g in graphs + list(_families(80)):
-        assert kernels.edge_profile(g.bitrows, g.n) == pure.edge_profile(g.bitrows, g.n)
-
-
-@needs_compiled
-@given(graphs(min_n=2, max_n=13))
-def test_paths3_between_parity(g):
-    for u in range(min(g.n, 4)):
-        for v in range(u + 1, min(g.n, 5)):
-            assert pure.paths3_between(g.bitrows, g.n, u, v) == int(
-                fast().paths3_between(g.bitrows, g.n, u, v)
-            )
+    for g in graphs + list(_families(64)):
+        _assert_per_edge_parity(g)
 
 
 @needs_compiled
@@ -108,23 +87,51 @@ def test_embedding_code_parity_on_corpus():
     for n in (4, 5, 6, 7, 8):
         for emb in corpus(n):
             rot = emb.rotations
-            assert pure.embedding_min_code(rot, n) == tuple(
-                int(x) for x in fast().embedding_min_code(rot, n)
-            )
+            assert pure.embedding_min_code(rot, n) == fast().embedding_min_code(rot, n)
 
 
 @needs_compiled
 def test_embedding_code_requires_connected():
-    with pytest.raises(ValueError):
-        pure.embedding_min_code(((), ()), 2)
-    with pytest.raises(ValueError):
-        fast().embedding_min_code(((), ()), 2)
+    # disconnected, then not symmetric: 0 lists 1 but 1 does not list 0
+    for rot in (((), ()), ((1,), (0,), (3,), (2,)), ((1,), (2,), (0,))):
+        for mod in (pure, fast()):
+            with pytest.raises(ValueError):
+                mod.embedding_min_code(rot, len(rot))
+
+
+def _min_code_or_error(mod, rot):
+    try:
+        return mod.embedding_min_code(rot, len(rot))
+    except ValueError:
+        return ValueError
+
+
+@needs_compiled
+def test_embedding_code_parity_on_damaged_rotations():
+    # one rotation entry of a child redirected to another vertex: both
+    # backends raise ValueError on the same systems, or give the same code
+    rng = random.Random(5)
+    raised = 0
+    for rot in rng.sample(list(_children(9)), 2000):
+        n = len(rot)
+        x = rng.randrange(n)
+        k = rng.randrange(len(rot[x]))
+        damaged = list(rot)
+        damaged[x] = rot[x][:k] + (rng.randrange(n),) + rot[x][k + 1 :]
+        damaged = tuple(damaged)
+        want = _min_code_or_error(pure, damaged)
+        assert _min_code_or_error(fast(), damaged) == want, damaged
+        raised += want is ValueError
+    assert 0 < raised < 2000
 
 
 @needs_compiled
 def test_backend_names():
     assert set(kernels.backends()) == {"pure", "compiled"}
-    assert kernels.backend_name() in ("pure", "compiled")
+    forced_pure = os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure"
+    assert kernels.backend_name() == ("pure" if forced_pure else "compiled")
+    exported = {name for name in dir(fast()) if not name.startswith("_")}
+    assert exported == {"cycle_counts", "edge_profile", "embedding_min_code", "paths3_per_edge"}
 
 
 def _full_min_code(rot, n):
@@ -181,10 +188,14 @@ def _children(max_parent_n):
 
 
 def test_min_code_equals_full_minimum_on_every_child():
+    # every importable backend: the compiled one too, where it is built
     children = list(_children(10))
     assert len(children) == 29444
+    mods = kernels.backends().values()
     for rot in children:
-        assert pure.embedding_min_code(rot, len(rot)) == _full_min_code(rot, len(rot))
+        want = _full_min_code(rot, len(rot))
+        for mod in mods:
+            assert mod.embedding_min_code(rot, len(rot)) == want
 
 
 def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
@@ -199,7 +210,9 @@ def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
         mirrored = tuple(r[::-1] for r in relabeled)
         code = pure.embedding_min_code(rot, n)
         for variant in (tuple(relabeled), mirrored):
-            assert pure.embedding_min_code(variant, n) == _full_min_code(variant, n) == code
+            assert _full_min_code(variant, n) == code
+            for mod in kernels.backends().values():
+                assert mod.embedding_min_code(variant, n) == code
 
 
 def test_min_code_requires_connected():
@@ -209,8 +222,8 @@ def test_min_code_requires_connected():
         pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
 
 
-# The pure edge_profile, cycle_counts and c5_per_edge count in closed form;
-# these are the loops they replaced, kept verbatim as references.
+# The pure edge_profile and cycle_counts count in closed form; these are the
+# loops they replaced, kept verbatim as references.
 
 
 def _bits(mask: int):
@@ -262,10 +275,10 @@ def _assert_closed_forms(g):
     # the pure paths3_per_edge keeps the 3-path loop
     c5, p3 = _c5_per_edge_reference(rows, n), pure.paths3_per_edge(rows, n)
     assert pure.edge_profile(rows, n) == (c5, p3), g.edges()
-    assert pure.c5_per_edge(rows, n) == c5, g.edges()
     assert pure.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
     # the dispatcher; graphs with n > 64 take the pure fallback
     assert kernels.edge_profile(rows, n) == (c5, p3), g.edges()
+    assert kernels.c5_per_edge(rows, n) == c5, g.edges()
 
 
 def test_closed_forms_match_loop_on_corpus():
