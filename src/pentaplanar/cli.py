@@ -34,6 +34,7 @@ from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
     _LEMMAS,
+    _VARIANT_LEVELS,
     _check_level,
     _check_variants,
     verify_monotonicity,
@@ -44,13 +45,17 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# Largest --workers accepted; each worker is a process of its own.
+MAX_WORKERS = 64
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "workers", 1) < 1 or getattr(args, "variants", 0) < 0:
-            raise GraphError("--workers must be at least 1 and --variants at least 0")
+        workers, variants = getattr(args, "workers", 1), getattr(args, "variants", 0)
+        if not 1 <= workers <= MAX_WORKERS or variants < 0:
+            raise GraphError(f"--workers must be in 1..{MAX_WORKERS} and --variants at least 0")
         return args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -124,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_workers() -> int:
-    return os.cpu_count() or 1
+    return min(os.cpu_count() or 1, MAX_WORKERS)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -225,9 +230,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else " (use --allow-big for 13..14)")
         )
-    # grow every level in one pass, including the levels up to n = 12 that
-    # --variants samples, so one pool of --workers builds them all
-    corpus_codes(max(ns[-1], 12) if args.variants else ns[-1], workers=args.workers)
+    # grow every level in one pass, including the levels that --variants
+    # samples, so one pool of --workers builds them all
+    top = max(ns[-1], _VARIANT_LEVELS[1]) if args.variants else ns[-1]
+    corpus_codes(top, workers=args.workers)
     failed = False
     reports = []
     for n in ns:

@@ -125,11 +125,6 @@ class EnumerationCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def canonical_code(emb: Embedding) -> tuple[int, ...]:
-    """Flat canonical embedding code (dedup key for triangulations)."""
-    return kernels.embedding_min_code(emb.rotations, emb.graph.n)
-
-
 def _code_rotations(code: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The rotation system a flat code encodes: per vertex, its degree and
     then its neighbours in rotation order."""

@@ -40,8 +40,6 @@ EXCEPTIONAL_CANONICAL = (
 # Largest D_n / E_n built: n^2 / 8 bytes of rows, `construct --count` in seconds.
 FAMILY_MAX_N = 1024
 
-FAMILY_NAMES = ("dn", "en", "a8", "a11", "exc0", "exc1", "exc2", "exc3", "exc4", "exc5")
-
 
 def build_D(n: int) -> Graph:
     """Cycle on n-2 vertices plus two non-adjacent apexes joined to all of it.

@@ -25,10 +25,6 @@ _FAST_MAX_N = 64
 _fast = None if os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure" else _fastkern
 
 
-def compiled_available() -> bool:
-    return _fastkern is not None
-
-
 def backend_name() -> str:
     return "pure" if _fast is None else "compiled"
 

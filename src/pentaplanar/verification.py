@@ -20,12 +20,16 @@ per violated item, in item order (`_record`).
 
 Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
-each class's rotation system off its canonical code: with workers > 1 it
-opens one process pool per call, when the level has more than 4 * workers
-classes; each worker checks one contiguous chunk of the level's codes, and
-`LemmaStats.merge` folds the chunks back in corpus order, so no result
-depends on the worker count.  `_check_variants` takes `verify --variants`
-the same way, embedding each variant first, in rounds of bounded size.
+each class's rotation system off its canonical code; `_check_variants`
+runs it over `verify --variants`, embedding each variant first.  Both go
+through `_fold`: with one worker, or at most _POOL_MIN items per worker,
+one call checks the whole iterable (variants stream one at a time).
+Otherwise one process pool takes rounds of at most _ROUND items per
+worker, one contiguous chunk per worker, and the results are folded back
+in order, counts concatenated and stats joined by `LemmaStats.merge`; so
+the chunks a worker holds stay bounded as the level grows, the main
+process holds at most two rounds of variants, and no result depends on
+the worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import random
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 from . import kernels
@@ -42,7 +47,7 @@ from .canon import canonical_form
 from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
 from .enumeration import _code_rotations, _rows, code_to_embedding, corpus_codes
-from .families import build_A, build_D
+from .families import FamilySpec, build_A, build_D, expected_c5
 from .graphs import Graph, _bits, _flood
 
 SCHEMA_VERSION = 1
@@ -51,16 +56,18 @@ MAX_VIOLATION_EXAMPLES = 5
 
 _LEMMAS = ("lemma1", "lemma2", "lemma3", "remark4")
 _VARIANT_LEMMAS = _LEMMAS[:3]
-# Variants per worker: a pool opens above _VARIANT_MIN, since one variant
-# takes about half a millisecond to embed and check and a pool of two about
-# 30 ms to start and feed; each pool round holds at most _VARIANT_ROUND.
-_VARIANT_MIN = 100
-_VARIANT_ROUND = 1024
+# The lowest and highest level that edge-deleted variants are drawn from.
+_VARIANT_LEVELS = (5, 12)
+# Items per worker: a pool opens above _POOL_MIN, since one class or
+# variant takes about half a millisecond to check and a pool of two about
+# 30 ms to start and feed; each pool round holds at most _ROUND.
+_POOL_MIN = 100
+_ROUND = 1024
 
 
 def expected_max_c5(n: int) -> int:
     """The proven maximum: 6 at n=5, 41 at n=7, else 2n^2 - 10n + 12."""
-    return 6 if n == 5 else g_formula(n)
+    return expected_c5(FamilySpec("D", n))
 
 
 def expected_family_labels(n: int) -> tuple[str, ...]:
@@ -208,34 +215,19 @@ def _check_level(
     n: int, names: tuple[str, ...], workers: int, count: bool
 ) -> tuple[list[int], dict[str, LemmaStats]]:
     """Check every class of level n: the pentagon count per class when
-    `count` is set (else none), and the named sweeps over the level.
-
-    With workers > 1 and more than 4 * workers classes, one process pool
-    checks one contiguous chunk of codes per worker, and the chunks are
-    folded back in corpus order."""
+    `count` is set (else none), and the named sweeps over the level."""
     codes = corpus_codes(n, workers=workers)
-    if workers > 1 and len(codes) > 4 * workers:
-        size = -(-len(codes) // workers)
-        chunks = [(codes[i : i + size], n, names, count)
-                  for i in range(0, len(codes), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_check_chunk, chunks))
-    else:
-        parts = [_check_chunk((codes, n, names, count))]
-    counts, lemmas = parts[0]
-    for more_counts, more_lemmas in parts[1:]:
-        counts += more_counts
-        for name, stats in lemmas.items():
-            stats.merge(more_lemmas[name])
-    return counts, lemmas
+    check = partial(_check_chunk, n=n, names=names, count=count)
+    return _fold(check, codes, len(codes), workers)
 
 
-def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
+def _check_chunk(
+    chunk, n: int, names: tuple[str, ...], count: bool
+) -> tuple[list[int], dict[str, LemmaStats]]:
     """Pentagon count per class of a chunk of codes (if asked), and the
     named sweeps, each read off the class's rotation system.  With the
     count, one `edge_profile` pass per class gives it and the path counts
     of Lemmas 2 and 3; without it, `_check` counts the paths alone."""
-    chunk, n, names, count = args
     stats = {name: LemmaStats() for name in names}
     counts = []
     for code in chunk:
@@ -246,6 +238,32 @@ def _check_chunk(args) -> tuple[list[int], dict[str, LemmaStats]]:
             c5, p3 = kernels.edge_profile(rows, n)
             counts.append(sum(c5) // 5)
         _check(stats, n, rows, rots, p3)
+    return counts, stats
+
+
+def _fold(check, items, size: int, workers: int) -> tuple[list[int], dict[str, LemmaStats]]:
+    """`check` over the `size` items.  With one worker, or at most
+    _POOL_MIN items per worker, one call takes them all.  Else one process
+    pool takes rounds of at most _ROUND items per worker, one contiguous
+    chunk each, and the results are folded back in item order.  Each round
+    is sent before the one ahead of it is read, so no worker waits for the
+    slowest chunk of a round, and at most two rounds are held."""
+    if workers == 1 or size <= _POOL_MIN * workers:
+        return check(items)
+    items, counts, stats = iter(items), [], {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # results of the rounds sent and not yet read; the empty first
+        # entry lets each round go out before the one ahead of it is read
+        rounds = [()]
+        while rounds:
+            if batch := list(islice(items, _ROUND * workers)):
+                step = -(-len(batch) // workers)
+                chunks = [batch[i : i + step] for i in range(0, len(batch), step)]
+                rounds.append(pool.map(check, chunks))
+            for more_counts, more in rounds.pop(0):
+                counts += more_counts
+                for name, part in more.items():
+                    stats.setdefault(name, LemmaStats()).merge(part)
     return counts, stats
 
 
@@ -398,33 +416,23 @@ def verify_remark4(embeddings) -> LemmaStats:
     return _sweep(("remark4",), ((e.graph, e.rotations) for e in embeddings))["remark4"]
 
 
-def verify_lemmas_over(embeddings) -> dict[str, LemmaStats]:
-    """All four sweeps; Lemmas 2 and 3 share one `paths3_per_edge` pass."""
-    return _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embeddings))
-
-
 # ---------------------------------------------------------------------------
 # Edge-deleted variants and monotonicity
 # ---------------------------------------------------------------------------
 
 
-def edge_deleted_variants(
-    count: int, seed: int, n_range: tuple[int, int] = (5, 12)
-) -> list[Graph]:
+def edge_deleted_variants(count: int, seed: int) -> list[Graph]:
     """Seed-pinned random connected planar subgraphs of corpus members,
     obtained by deleting one to three edges from a triangulation."""
-    return list(_edge_deleted_variants(count, seed, n_range))
+    return list(_edge_deleted_variants(count, seed))
 
 
-def _edge_deleted_variants(
-    count: int, seed: int, n_range: tuple[int, int] = (5, 12)
-) -> Iterator[Graph]:
+def _edge_deleted_variants(count: int, seed: int) -> Iterator[Graph]:
     """`edge_deleted_variants`, one graph at a time."""
     rng = random.Random(seed)
-    lo, hi = n_range
     made = 0
     while made < count:
-        n = rng.randint(lo, hi)
+        n = rng.randint(*_VARIANT_LEVELS)
         codes = corpus_codes(n)
         g = code_to_embedding(codes[rng.randrange(len(codes))]).graph
         edges = g.edges()
@@ -437,31 +445,15 @@ def _edge_deleted_variants(
 
 def _check_variants(count: int, seed: int, workers: int) -> dict[str, LemmaStats]:
     """Lemmas 1-3 over `count` edge-deleted variants, each embedded first
-    (Remark 4 is a triangulation property and does not apply).
-
-    The main process draws the variants in seed order, one at a time when
-    nothing is pooled.  With workers > 1 and more than _VARIANT_MIN variants
-    per worker, rounds of at most _VARIANT_ROUND per worker go to one
-    process pool, one contiguous chunk per worker, and the chunks are folded
-    back in draw order, so memory stays bounded and no result depends on
-    the worker count."""
-    variants = _edge_deleted_variants(count, seed)
-    if workers == 1 or count <= _VARIANT_MIN * workers:
-        return _check_variant_chunk(variants)
-    stats = {name: LemmaStats() for name in _VARIANT_LEMMAS}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        while batch := list(islice(variants, _VARIANT_ROUND * workers)):
-            size = -(-len(batch) // workers)
-            chunks = [batch[i : i + size] for i in range(0, len(batch), size)]
-            for part in pool.map(_check_variant_chunk, chunks):
-                for name, more in part.items():
-                    stats[name].merge(more)
-    return stats
+    (Remark 4 is a triangulation property and does not apply).  The main
+    process draws the variants in seed order, and `_fold` checks them."""
+    return _fold(_check_variant_chunk, _edge_deleted_variants(count, seed), count, workers)[1]
 
 
-def _check_variant_chunk(graphs) -> dict[str, LemmaStats]:
+def _check_variant_chunk(graphs) -> tuple[list[int], dict[str, LemmaStats]]:
+    """No counts, and Lemmas 1-3 over the graphs, each embedded first."""
     embs = map(planar_embed, graphs)
-    return _sweep(_VARIANT_LEMMAS, ((e.graph, e.rotations) for e in embs))
+    return [], _sweep(_VARIANT_LEMMAS, ((e.graph, e.rotations) for e in embs))
 
 
 @dataclass

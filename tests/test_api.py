@@ -1,10 +1,14 @@
 import pentaplanar
-from pentaplanar import embeddings, graphs
+from pentaplanar import embeddings, enumeration, families, graphs, kernels, verification
 
 # helpers that had no production caller and no oracle role; removed
 DELETED = {
     graphs: ("complete_bipartite", "contract_edge", "degree"),
     embeddings: ("is_planar", "parse_rotations"),
+    enumeration: ("canonical_code",),
+    families: ("FAMILY_NAMES",),
+    kernels: ("compiled_available",),
+    verification: ("verify_lemmas_over",),
 }
 
 

@@ -59,6 +59,7 @@ def test_construct_usage_errors(capsys):
 def test_worker_and_variant_counts_are_usage_errors(capsys):
     # refused before any level is built or any pool starts
     for argv in (("enumerate", "--n", "12", "--workers", "0"),
+                 ("enumerate", "--n", "12", "--workers", "100000"),
                  ("verify", "--n", "12", "--workers", "-1"),
                  ("verify", "--n", "12", "--variants", "-1"),
                  ("bench", "--suite", "enumeration", "--n", "12", "--workers", "0")):
@@ -218,8 +219,8 @@ def pools(monkeypatch):
 
 def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch, pools):
     """verify grows its top level once, so one enumeration pool serves every
-    n; the per-class check adds one pool per n whose level is large enough,
-    with or without --lemmas-only."""
+    n; the per-class check adds one pool per n whose level has more than
+    100 classes per worker, with or without --lemmas-only."""
     from pentaplanar import enumeration
 
     for lemmas_only in ((), ("--lemmas-only",)):
@@ -230,8 +231,9 @@ def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatc
         payload = json.loads(out)
         assert code == 0 and payload["certificates"][-1]["lemmas"]
         assert lemmas_only or payload["monotonicity"]["passed"]
-        # one pool grows levels 9..11; n = 8..11 have more than 4 * 2 classes
-        assert pools == [2] * 5, lemmas_only
+        # one pool grows levels 9..11; n = 10 and 11 have more than 100 * 2
+        # classes
+        assert pools == [2] * 3, lemmas_only
 
 
 def test_verify_variants_grow_their_levels_in_one_pool(capsys, pools):

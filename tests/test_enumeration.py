@@ -15,7 +15,6 @@ from pentaplanar.enumeration import (
     _grow,
     _new_edge_is_minimal,
     bruteforce_triangulations,
-    canonical_code,
     code_to_embedding,
     corpus,
     corpus_codes,
@@ -104,9 +103,9 @@ def test_split_vertex_always_yields_triangulations():
 
 def test_code_roundtrip():
     for emb in corpus(7):
-        code = canonical_code(emb)
+        code = kernels.embedding_min_code(emb.rotations, 7)
         back = code_to_embedding(code)
-        assert canonical_code(back) == code
+        assert kernels.embedding_min_code(back.rotations, 7) == code
         assert canonical_form(back.graph) == canonical_form(emb.graph)
 
 
@@ -141,7 +140,7 @@ def test_determinism_across_runs_and_workers():
     again = codes(corpus_codes(9), 10, 1)
     pooled = codes(corpus_codes(9), 10, 4)
     assert base == again == pooled
-    assert base == [tuple(canonical_code(e) for e in corpus(10))]
+    assert base == [tuple(kernels.embedding_min_code(e.rotations, 10) for e in corpus(10))]
     # one pool kept over levels 9 and 10, the first two with > 4 * 2 parents
     assert codes(corpus_codes(4), 10, 2) == codes(corpus_codes(4), 10, 1)
 
@@ -372,4 +371,4 @@ def test_levels_are_sorted_code_tuples():
 @pytest.mark.parametrize("n", range(4, 11))
 def test_corpus_decodes_the_cached_codes_in_order(n):
     embs = corpus(n)
-    assert [canonical_code(e) for e in embs] == list(corpus_codes(n))
+    assert [kernels.embedding_min_code(e.rotations, n) for e in embs] == list(corpus_codes(n))

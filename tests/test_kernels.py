@@ -20,7 +20,7 @@ from pentaplanar.graphs import Graph, complete_graph
 from .conftest import graphs
 
 needs_compiled = pytest.mark.skipif(
-    not kernels.compiled_available(), reason="compiled kernel not built"
+    "compiled" not in kernels.backends(), reason="compiled kernel not built"
 )
 
 pure = kernels._purekern

@@ -1,9 +1,10 @@
 import json
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from pentaplanar import kernels
+from pentaplanar import kernels, verification
 from pentaplanar.counting import apex_exists, count_cycles, count_face_paths3
 from pentaplanar.embeddings import (
     Embedding,
@@ -24,8 +25,11 @@ from pentaplanar.graphs import (
 from pentaplanar.verification import (
     MAX_VIOLATION_EXAMPLES,
     LemmaStats,
+    _LEMMAS,
     _check_chunk,
+    _check_level,
     _check_variant_chunk,
+    _check_variants,
     _path_forest_shape,
     _sweep,
     _triangles,
@@ -35,7 +39,6 @@ from pentaplanar.verification import (
     verify_lemma1,
     verify_lemma2,
     verify_lemma3,
-    verify_lemmas_over,
     verify_monotonicity,
     verify_remark4,
     verify_theorem,
@@ -322,8 +325,9 @@ def test_lemma3_matches_pairwise_reference():
 
 
 def test_lemmas_over_share_one_path_pass(monkeypatch):
-    """verify_lemmas_over gives the same stats as the separate sweeps and
-    makes one paths3_per_edge pass per graph, not one per sweep."""
+    """The four sweeps run by one `_sweep` give the same stats as the
+    separate sweeps and make one paths3_per_edge pass per graph, not one
+    per sweep."""
     embs = [e for n in range(5, 10) for e in corpus(n)]
     graphs = [e.graph for e in embs]
     separate = {
@@ -340,7 +344,7 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
         return real(rows, n)
 
     monkeypatch.setattr(kernels, "paths3_per_edge", counted)
-    shared = verify_lemmas_over(embs)
+    shared = _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embs))
     assert len(calls) == len(embs)
     assert {k: v.to_json_dict() for k, v in shared.items()} == {
         k: v.to_json_dict() for k, v in separate.items()
@@ -415,13 +419,45 @@ def test_level_check_matches_per_item_reference():
     reference's stats and counts on every class up to n = 10."""
     for n in range(5, 11):
         codes = corpus_codes(n)
-        counts, stats = _check_chunk((codes, n, _ALL, True))
+        counts, stats = _check_chunk(codes, n, _ALL, True)
         items = []
         for code in codes:
             rots = _code_rotations(code)
             items.append((Graph._from_rows(n, _rows(rots)), rots))
         assert _as_json(stats) == _reference_json(_ALL, items), n
         assert counts == [sum(_c5_per_edge_reference(g.bitrows, n)) // 5 for g, _ in items]
+
+
+def test_pooled_check_spans_rounds_and_equals_serial(monkeypatch):
+    """With small rounds, the pooled level check (counts and lemmas, n = 9
+    and 10) and the pooled variant sweep each feed one pool several rounds
+    of at most _ROUND items per worker, and give the serial results."""
+    serial = [_check_level(n, _ALL, 1, True) for n in (9, 10)]
+    serial_variants = _check_variants(300, 7, 1)
+    rounds = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            rounds.append([])
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, chunks):
+            rounds[-1].append([len(chunk) for chunk in chunks])
+            return super().map(fn, chunks)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(verification, "_POOL_MIN", 2)
+    monkeypatch.setattr(verification, "_ROUND", 16)
+    pooled = [_check_level(n, _ALL, 2, True) for n in (9, 10)]
+    pooled_variants = _check_variants(300, 7, 2)
+    # one pool per call; 50, 233 and 300 items in rounds of at most 2 * 16
+    assert [len(pool) for pool in rounds] == [2, 8, 10]
+    for pool, size in zip(rounds, (50, 233, 300)):
+        assert all(len(chunks) == 2 and max(chunks) <= 16 for chunks in pool[:-1])
+        assert sum(map(sum, pool)) == size
+    for (counts, stats), (more_counts, more) in zip(serial, pooled):
+        assert more_counts == counts and _as_json(more) == _as_json(stats)
+    assert _as_json(pooled_variants) == _as_json(serial_variants)
 
 
 def test_sweeps_match_per_item_reference_with_violations():
@@ -440,7 +476,7 @@ def test_sweeps_match_per_item_reference_with_violations():
     variants = edge_deleted_variants(200, seed=23)
     embs = [(e.graph, e.rotations) for e in map(planar_embed, variants)]
     names = ("lemma1", "lemma2", "lemma3")
-    assert _as_json(_check_variant_chunk(variants)) == _reference_json(names, embs)
+    assert _as_json(_check_variant_chunk(variants)[1]) == _reference_json(names, embs)
 
 
 def _swapped(emb: Embedding, rng: random.Random) -> Embedding:
