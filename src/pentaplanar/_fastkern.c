@@ -274,6 +274,10 @@ static int bfs_code(rotsys *r, int su, int sv, int rev)
     return !tie;
 }
 
+/* Precondition: rot is a valid, symmetric rotation system, as split_vertex
+ * and Embedding produce.  Symmetry is checked only along completed codes, so
+ * a damaged system can get a code instead of ValueError; a full check would
+ * cost every child of the enumeration. */
 static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *const *args,
                                     Py_ssize_t nargs)
 {

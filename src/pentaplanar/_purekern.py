@@ -191,6 +191,12 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, .
       * each code is compared with the running best block by block while
         it is built, and abandoned as soon as it is larger (early abort).
         A code that ties the best is dropped as well.
+
+    Precondition: `rot` is a valid, symmetric rotation system, as
+    `enumeration.split_vertex` and `Embedding` produce.  Symmetry is checked
+    only along the codes that are completed, so a damaged system can get a
+    code instead of a ValueError; a full check would cost every child of the
+    enumeration.
     """
     if n == 0:
         return ()

@@ -63,4 +63,12 @@ def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
 
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """Canonical flat code of `rot` (see `_purekern.embedding_min_code`).
+
+    Precondition: `rot` is a valid, symmetric rotation system, as
+    `enumeration.split_vertex` and `Embedding` produce: w is in v's rotation
+    exactly when v is in w's.  Neither backend checks it in full, since
+    enumeration calls this for every kept child, so a damaged system can
+    get a code instead of a ValueError.
+    """
     return _pick(n).embedding_min_code(rot, n)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pentaplanar.canon import are_isomorphic, canonical_form, canonical_order
+from pentaplanar import canon
+from pentaplanar.canon import _refine, are_isomorphic, canonical_form, canonical_order
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import build_A, build_D, build_E
 from pentaplanar.graphs import (
@@ -19,6 +20,7 @@ from pentaplanar.graphs import (
 )
 
 from .conftest import graphs
+from .test_embeddings import _random_triangulation
 
 
 def test_known_distinctions():
@@ -40,10 +42,28 @@ def test_canonical_form_parses_back_to_same_class():
     assert are_isomorphic(g, h)
 
 
-def test_symmetric_worst_cases_terminate_fast():
-    # complete/empty graphs hit the uniform-partition shortcut
-    for g in (complete_graph(14), Graph(14, []), cycle_graph(14)):
-        assert parse_graph6(canonical_form(g)).n == 14
+def test_symmetric_worst_cases_terminate_fast(monkeypatch):
+    # search nodes (one `_refine` call each) stay within these counts:
+    # complete and empty graphs stop at the root by the uniform shortcut,
+    # and orbit pruning keeps relabeled D_n and E_n flat in n (the unpruned
+    # search visits 3n - 5 nodes of D_n)
+    calls = []
+    refine = canon._refine
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    rng = random.Random(41)
+    bounds = {(build_D, 20): 7, (build_D, 40): 7, (build_D, 60): 10,
+              (build_E, 20): 3, (build_E, 40): 3, (build_E, 60): 3}
+    cases = [(_relabeled(build(n), rng), bound) for (build, n), bound in bounds.items()]
+    cases += [(complete_graph(14), 1), (Graph(14, []), 1), (cycle_graph(14), 7)]
+    for g, bound in cases:
+        calls.clear()
+        assert parse_graph6(canonical_form(g)).n == g.n
+        assert len(calls) <= bound, (to_graph6(g), len(calls))
 
 
 def test_canonical_order_is_permutation():
@@ -86,6 +106,7 @@ CORPUS_FORM_DIGESTS = {
     7: "8294bd1a860757d04c9f3b0127b1377ed3eaeda1be51077f19eb18013b2c4658",
     8: "cbf258178d68d35099072b815fff169712d657d9661eef6c4a226e7fd5f3a775",
     9: "2f1bc5067b9782eb24bd9dad6fdb274e3e0384ba154117e729b4f0292eebe034",
+    10: "c12154c652d052d9b0455dfa1790a706a3ab92eb7dcabe83ecf4866801e91bac",
 }
 
 D_FORMS = {
@@ -99,6 +120,16 @@ D_FORMS = {
     12: "K??XQa_oF~~}",
     20: "S???????WD?gA_D?D?A_?g?B??F~~~~~w",
     30: "]?????????????????W?I?A_?S?@O?A_?A_?@O??S??A_??I???S???S???E????~~~~~~~~~o",
+    40: (
+        "g???????????????????????????????K??I??D??@O??I???g??@O??@O???g???I???@O???D????"
+        "I????I????D????@O????I?????g?????o?????^~~~~~~~~~~~}"
+    ),
+    60: (
+        "{????????????????????????????????????????????????????????????????????????W???@O"
+        "???A_???A_???@O????S????A_????I?????S?????S?????I?????A_?????S?????@O?????A_????"
+        "?A_?????@O??????S??????A_??????I???????S???????S???????I???????A_???????S???????"
+        "@O???????A_???????A_????????o????????F~~~~~~~~~~~~~~~~~~}"
+    ),
 }
 
 E_FORMS = {
@@ -107,6 +138,13 @@ E_FORMS = {
     10: "I?CidB~~w",
     11: "J??XQa_~~~_",
     12: "K??GhPOgF~~~",
+    30: "]?????????????????G?D?@O?I??g?@O?@O??g??I??@O??D???I???I???D????~~~~~~~~~w",
+    60: (
+        "{????????????????????????????????????????????????????????????????????????G????g"
+        "???@O???@O????g????I????@O????D?????I?????I?????D?????@O?????I??????g?????@O????"
+        "?@O??????g??????I??????@O??????D???????I???????I???????D???????@O???????I???????"
+        "?g???????@O???????@O????????g????????F~~~~~~~~~~~~~~~~~~~"
+    ),
 }
 
 
@@ -227,6 +265,77 @@ def _uniform_reference(rows, cells: list[list[int]]) -> bool:
             if links not in (0, full):
                 return False
     return True
+
+
+def _degree_cells(g: Graph) -> list[list[int]]:
+    by_degree: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_degree.setdefault(g.bitrows[v].bit_count(), []).append(v)
+    return [by_degree[d] for d in sorted(by_degree)]
+
+
+def _is_equitable(rows, cells: list[list[int]]) -> bool:
+    masks = [sum(1 << v for v in c) for c in cells]
+    return all(len({(rows[v] & m).bit_count() for v in cell}) == 1
+               for cell in cells for m in masks)
+
+
+def _assert_refine_matches_reference(graphs) -> None:
+    # at the root, and at every child of the root's first non-singleton
+    # cell: a child's parent partition is stable, so `_refine` scatters its
+    # first round from the individualized vertex alone
+    for g in graphs:
+        rows = g.bitrows
+        root = _degree_cells(g)
+        stable = _refine(g, root)
+        assert stable == _refine_reference(rows, root), to_graph6(g)
+        assert _is_equitable(rows, stable), to_graph6(g)
+        target = next((i for i, c in enumerate(stable) if len(c) > 1), None)
+        if target is None:
+            continue
+        for v in stable[target]:
+            rest = [w for w in stable[target] if w != v]
+            cells = stable[:target] + [[v], rest] + stable[target + 1 :]
+            got = _refine(g, cells, v)
+            assert got == _refine_reference(rows, cells), (to_graph6(g), v)
+            assert _is_equitable(rows, got), (to_graph6(g), v)
+
+
+def _circulant(n: int, steps: tuple[int, ...]) -> Graph:
+    return Graph(n, sorted({(min(i, (i + s) % n), max(i, (i + s) % n))
+                            for i in range(n) for s in steps}))
+
+
+def test_refine_matches_reference_on_families():
+    rng = random.Random(19)
+    _assert_refine_matches_reference(
+        _relabeled(build(n), rng)
+        for n in (*range(5, 31), 40, 50, 60)
+        for build in (build_D, build_E)
+    )
+
+
+def test_refine_matches_reference_on_circulants():
+    # vertex-transitive: the root partition is one cell, and each child
+    # splits it one distance layer per round
+    _assert_refine_matches_reference(
+        _circulant(n, steps)
+        for steps in ((1, 2), (1, 3), (1, 2, 4))
+        for n in range(2 * max(steps) + 1, 31)
+    )
+
+
+def test_refine_matches_reference_on_corpus_and_random_graphs():
+    rng = random.Random(23)
+    graphs = [e.graph for n in range(4, 10) for e in corpus(n)]
+    graphs += [_relabeled(g, rng) for g in graphs]
+    for _ in range(150):
+        n = rng.randint(1, 20)
+        p = rng.uniform(0.1, 0.9)
+        graphs.append(Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                                if rng.random() < p]))
+    graphs += [Graph(n, _random_triangulation(n, rng)) for n in range(30, 61, 3)]
+    _assert_refine_matches_reference(graphs)
 
 
 def _assert_orders_match(graphs) -> None:
