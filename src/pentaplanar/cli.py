@@ -1,9 +1,9 @@
-"""Command-line front end: construct | count | enumerate | verify | bench.
+"""Command-line front end: construct | count | enumerate | verify.
 
 Human-readable output goes to stdout; JSON goes to files (--out) or replaces
 stdout under --json.  Every command is deterministic for a fixed (config,
-seed), timing fields aside.  Exit codes: 0 success, 1 verification or oracle
-failure, 2 usage error.
+seed).  Exit codes: 0 success, 1 verification or oracle failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import argparse
 import json
 import os
 import sys
-import time
 
-from . import kernels
 from .counting import (
     count_cycles,
     count_cycles_bruteforce,
@@ -24,11 +22,9 @@ from .counting import (
 from .enumeration import (
     MAX_N,
     MIN_N,
-    corpus,
     corpus_codes,
     corpus_graph6,
     _certificate,
-    _grow,
 )
 from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
@@ -75,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named family graph")
     p.add_argument("--family", required=True,
                    help="dn | en | a8 | a11 | exc0..exc5")
-    p.add_argument("--n", type=int, help=f"vertex count (dn/en, <= {FAMILY_MAX_N})")
+    p.add_argument("--n", type=int,
+                   help=f"vertex count (dn/en, <= {FAMILY_MAX_N}; fixed for the rest)")
     p.add_argument("--count", action="store_true",
                    help="also print the pentagon count")
     p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
@@ -116,14 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-big", action="store_true",
                    help="permit n = 13..14 (slow)")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="timing report for the hot loops")
-    p.add_argument("--suite", choices=("counting", "enumeration"),
-                   default="counting")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--json", action="store_true", help="emit JSON to stdout")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -291,64 +280,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         _write(json.dumps(summary, indent=2) + "\n", args.out)
     return EXIT_FAIL if failed else EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "counting":
-        report = _bench_counting(args.n)
-    else:
-        report = _bench_enumeration(args.n, args.workers)
-    print(json.dumps(report, indent=2))
-    return EXIT_OK
-
-
-def _bench_counting(n: int) -> dict:
-    """Per-backend pentagon counting throughput over the n-vertex corpus."""
-    embs = corpus(n)
-    rows_list = [e.graph.bitrows for e in embs]
-    backends = {}
-    for name, mod in kernels.backends().items():
-        t0 = time.perf_counter()
-        total = 0
-        for rows in rows_list:
-            total += mod.cycle_counts(rows, n)[2]
-        dt = time.perf_counter() - t0
-        backends[name] = {
-            "graphs": len(rows_list),
-            "c5_total": int(total),
-            "seconds": round(dt, 6),
-            "graphs_per_sec": round(len(rows_list) / dt, 1) if dt > 0 else None,
-        }
-    totals = {b["c5_total"] for b in backends.values()}
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite": "counting",
-        "n": n,
-        "active_backend": kernels.backend_name(),
-        "backends": backends,
-        "backends_agree": len(totals) == 1,
-    }
-
-
-def _bench_enumeration(n: int, workers: int) -> dict:
-    """Fresh (cache-free) enumeration timing up to n."""
-    if not (MIN_N <= n <= MAX_N):
-        raise GraphError(f"--n must be in {MIN_N}..{MAX_N}")
-    t0 = time.perf_counter()
-    level = corpus_codes(MIN_N)
-    for level in _grow(level, n, workers):
-        pass
-    dt = time.perf_counter() - t0
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "suite": "enumeration",
-        "n": n,
-        "workers": workers,
-        "classes": len(level),
-        "seconds": round(dt, 6),
-        "classes_per_sec": round(len(level) / dt, 1) if dt > 0 else None,
-        "kernel_backend": kernels.backend_name(),
-    }
 
 
 if __name__ == "__main__":

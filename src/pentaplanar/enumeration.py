@@ -52,8 +52,7 @@ all that is kept.  The next level and the per-class checks in
 `verification` read the rotation system or the bit rows straight off a
 code, and the graph6 dump reads the code itself; an `Embedding` (with its
 validated `Graph`) is built by `code_to_embedding` only where a caller
-asks for one: `corpus`, a visitor, and the classes `verification` draws or
-reports.
+asks for one: `corpus`, and the classes `verification` draws or reports.
 
 One builder, `_grow`, turns a level into the next ones; `corpus_codes` uses
 it to fill only the levels its process-lifetime cache (`_LEVELS`) lacks.
@@ -80,7 +79,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import kernels
 from .canon import canonical_form
@@ -324,21 +323,10 @@ def corpus(n: int, workers: int = 1) -> tuple[Embedding, ...]:
     return tuple(map(code_to_embedding, corpus_codes(n, workers=workers)))
 
 
-def enumerate_triangulations(
-    n: int,
-    visitor: Callable[[Embedding], None] | None = None,
-    workers: int = 1,
-) -> EnumerationCertificate:
-    """Visit every isomorphism class of n-vertex triangulations exactly once.
-
-    Each class is delivered as a valid Embedding (rotation system included),
-    decoded only when a visitor is given; the certificate reports the class
-    count and the corpus digest.
-    """
-    codes = corpus_codes(n, workers=workers)
-    if visitor is not None:
-        for code in codes:
-            visitor(code_to_embedding(code))
+def enumerate_triangulations(n: int, workers: int = 1) -> EnumerationCertificate:
+    """The certificate of the n-vertex level: its class count and the digest
+    of its sorted graph6 dump.  No class is decoded; `corpus(n)` is the
+    route to the classes themselves."""
     return _certificate(n, corpus_graph6(n, workers=workers))
 
 

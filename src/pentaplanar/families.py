@@ -145,25 +145,23 @@ def expand(spec: FamilySpec) -> Graph:
 
 
 def spec_from_name(name: str, n: int | None = None) -> FamilySpec:
-    """CLI-facing family names: dn, en, a8, a11, exc0..exc5."""
+    """CLI-facing family names: dn, en, a8, a11, exc0..exc5.  The fixed-size
+    families accept an `n` only when it is their own vertex count."""
     key = name.lower()
-    if key == "dn":
+    if key in ("dn", "en"):
         if n is None:
-            raise GraphError("family dn requires --n")
-        return FamilySpec("D", n)
-    if key == "en":
-        if n is None:
-            raise GraphError("family en requires --n")
-        return FamilySpec("E", n)
-    if key == "a8":
-        return FamilySpec("A", 8)
-    if key == "a11":
-        return FamilySpec("A", 11)
-    if key.startswith("exc") and key[3:].isdigit():
+            raise GraphError(f"family {key} requires --n")
+        return FamilySpec(key[0].upper(), n)
+    if key in ("a8", "a11"):
+        spec = FamilySpec("A", int(key[1:]))
+    elif key.startswith("exc") and key[3:].isdigit() and int(key[3:]) < 6:
         idx = int(key[3:])
-        if 0 <= idx < 6:
-            return FamilySpec("EXC", EXCEPTIONAL_VERTICES[idx], idx)
-    raise GraphError(f"unknown family name {name!r}")
+        spec = FamilySpec("EXC", EXCEPTIONAL_VERTICES[idx], idx)
+    else:
+        raise GraphError(f"unknown family name {name!r}")
+    if n is not None and n != spec.n:
+        raise GraphError(f"family {key} has {spec.n} vertices, not {n}")
+    return spec
 
 
 def expected_c5(spec: FamilySpec) -> int:

@@ -29,14 +29,6 @@ def backend_name() -> str:
     return "pure" if _fast is None else "compiled"
 
 
-def backends() -> dict[str, object]:
-    """All importable backends, keyed by name (for benchmarks and tests)."""
-    out: dict[str, object] = {"pure": _purekern}
-    if _fastkern is not None:
-        out["compiled"] = _fastkern
-    return out
-
-
 def _pick(n: int):
     return _purekern if _fast is None or n > _FAST_MAX_N else _fast
 

@@ -421,14 +421,10 @@ def verify_remark4(embeddings) -> LemmaStats:
 # ---------------------------------------------------------------------------
 
 
-def edge_deleted_variants(count: int, seed: int) -> list[Graph]:
+def edge_deleted_variants(count: int, seed: int) -> Iterator[Graph]:
     """Seed-pinned random connected planar subgraphs of corpus members,
-    obtained by deleting one to three edges from a triangulation."""
-    return list(_edge_deleted_variants(count, seed))
-
-
-def _edge_deleted_variants(count: int, seed: int) -> Iterator[Graph]:
-    """`edge_deleted_variants`, one graph at a time."""
+    obtained by deleting one to three edges from a triangulation, one graph
+    at a time."""
     rng = random.Random(seed)
     made = 0
     while made < count:
@@ -447,7 +443,7 @@ def _check_variants(count: int, seed: int, workers: int) -> dict[str, LemmaStats
     """Lemmas 1-3 over `count` edge-deleted variants, each embedded first
     (Remark 4 is a triangulation property and does not apply).  The main
     process draws the variants in seed order, and `_fold` checks them."""
-    return _fold(_check_variant_chunk, _edge_deleted_variants(count, seed), count, workers)[1]
+    return _fold(_check_variant_chunk, edge_deleted_variants(count, seed), count, workers)[1]
 
 
 def _check_variant_chunk(graphs) -> tuple[list[int], dict[str, LemmaStats]]:

@@ -211,7 +211,7 @@ def test_criterion_5_lemma_suites():
             }
         )
 
-    variants = edge_deleted_variants(1000, seed=VARIANTS_SEED)
+    variants = list(edge_deleted_variants(1000, seed=VARIANTS_SEED))
     emb_variants = []
     for g in variants:
         emb = planar_embed(g)

@@ -7,7 +7,7 @@ DELETED = {
     embeddings: ("is_planar", "parse_rotations"),
     enumeration: ("canonical_code",),
     families: ("FAMILY_NAMES",),
-    kernels: ("compiled_available",),
+    kernels: ("backends", "compiled_available"),
     verification: ("verify_lemmas_over",),
 }
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentaplanar.cli import _parse_range, main
-from pentaplanar.counting import g_formula
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import FAMILY_MAX_N
 from pentaplanar.graphs import GraphError, parse_graph6
@@ -50,6 +49,12 @@ def test_construct_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "construct", "--family", "dn", "--n", "3")
     assert code == 2
+    # a fixed-size family refuses any other --n instead of ignoring it
+    for fam, n in (("a8", 9), ("a11", 8), ("exc2", 4), ("exc5", 12)):
+        code, out, err = run(capsys, "construct", "--family", fam, "--n", str(n))
+        assert code == 2 and err.startswith("error:") and out == "", (fam, n)
+    code, out, _ = run(capsys, "construct", "--family", "a8", "--n", "8")
+    assert code == 0 and parse_graph6(out.strip()).n == 8
     # refused by the size cap before any adjacency row is built
     for fam, n in (("dn", FAMILY_MAX_N + 1), ("en", 10 ** 8)):
         code, _, err = run(capsys, "construct", "--family", fam, "--n", str(n))
@@ -61,8 +66,7 @@ def test_worker_and_variant_counts_are_usage_errors(capsys):
     for argv in (("enumerate", "--n", "12", "--workers", "0"),
                  ("enumerate", "--n", "12", "--workers", "100000"),
                  ("verify", "--n", "12", "--workers", "-1"),
-                 ("verify", "--n", "12", "--variants", "-1"),
-                 ("bench", "--suite", "enumeration", "--n", "12", "--workers", "0")):
+                 ("verify", "--n", "12", "--variants", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and out == "", argv
 
@@ -142,45 +146,12 @@ def test_verify_range_guard(capsys):
     assert code == 2 and "allow-big" in err
 
 
-def test_bench_counting(capsys):
-    code, out, _ = run(capsys, "bench", "--suite", "counting", "--n", "6")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["suite"] == "counting"
-    assert payload["backends_agree"]
-    assert "pure" in payload["backends"]
-    total = g_formula(6) + 18  # both 6-vertex classes
-    assert all(b["c5_total"] == total for b in payload["backends"].values())
-
-
-def test_bench_enumeration(capsys):
-    code, out, _ = run(capsys, "bench", "--suite", "enumeration", "--n", "7",
-                       "--workers", "1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["classes"] == 5
-    assert payload["seconds"] >= 0
-
-
-def _strip_timing(payload):
-    drop = {"seconds", "graphs_per_sec", "classes_per_sec"}
-
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items() if k not in drop}
-        return obj
-
-    return clean(payload)
-
-
-def test_bench_workers_identical_besides_timing(capsys):
-    code, a, _ = run(capsys, "bench", "--suite", "enumeration", "--n", "8",
-                     "--workers", "1")
-    code, b, _ = run(capsys, "bench", "--suite", "enumeration", "--n", "8",
-                     "--workers", "8")
-    pa, pb = json.loads(a), json.loads(b)
-    pa["workers"] = pb["workers"] = None
-    assert _strip_timing(pa) == _strip_timing(pb)
+def test_removed_bench_command_is_a_usage_error(capsys):
+    # argparse rejects the unknown subcommand: exit 2, usage on stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_roundtrip_every_family_with_oracle(tmp_path, capsys):

@@ -123,14 +123,6 @@ def test_certificate_and_dump():
     assert payload["digest"] == cert.digest
 
 
-def test_visitor_called_once_per_class():
-    seen = []
-    cert = enumerate_triangulations(7, visitor=lambda e: seen.append(e))
-    assert cert.count == len(seen) == 5
-    forms = {canonical_form(e.graph) for e in seen}
-    assert len(forms) == 5
-
-
 def test_determinism_across_runs_and_workers():
     # fresh level builds, not the process-lifetime level cache
     def codes(start, n, workers):
@@ -342,7 +334,7 @@ def decodes(monkeypatch):
     return calls
 
 
-def test_enumeration_without_visitor_decodes_no_class(decodes):
+def test_enumeration_decodes_no_class(decodes):
     cert = enumerate_triangulations(10)
     assert (cert.count, cert.digest) == (KNOWN_COUNTS[10], KNOWN_DIGESTS[10])
     assert decodes == []

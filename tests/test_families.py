@@ -156,6 +156,12 @@ def test_spec_from_name():
         spec_from_name("exc9")
     with pytest.raises(GraphError):
         spec_from_name("w5")
+    # a fixed-size family takes only its own vertex count
+    assert spec_from_name("a8", 8) == FamilySpec("A", 8)
+    assert spec_from_name("exc2", 9) == FamilySpec("EXC", 9, 2)
+    for name, n in (("a8", 9), ("a11", 8), ("exc2", 4), ("exc0", 8)):
+        with pytest.raises(GraphError):
+            spec_from_name(name, n)
 
 
 def test_golden_catalog_file():

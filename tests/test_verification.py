@@ -132,7 +132,7 @@ def test_remark4_exhaustive_to_n12():
 
 
 def test_lemma_suites_on_edge_deleted_variants():
-    variants = edge_deleted_variants(60, seed=11)
+    variants = list(edge_deleted_variants(60, seed=11))
     assert len(variants) == 60
     embs = []
     for g in variants:
@@ -145,11 +145,10 @@ def test_lemma_suites_on_edge_deleted_variants():
 
 
 def test_variants_are_seed_pinned():
-    a = edge_deleted_variants(25, seed=5)
-    b = edge_deleted_variants(25, seed=5)
-    assert [g.edges() for g in a] == [g.edges() for g in b]
-    c = edge_deleted_variants(25, seed=6)
-    assert [g.edges() for g in a] != [g.edges() for g in c]
+    def edges(seed):
+        return [g.edges() for g in edge_deleted_variants(25, seed=seed)]
+
+    assert edges(5) == edges(5) != edges(6)
 
 
 def test_monotonicity_small_run():
@@ -300,7 +299,7 @@ def _embedded(graphs) -> list[Embedding]:
 
 def test_lemma1_matches_embedding_reference():
     corpus_graphs = [e.graph for n in range(4, 11) for e in corpus(n)]
-    variants = edge_deleted_variants(200, seed=23)
+    variants = list(edge_deleted_variants(200, seed=23))
     random_graphs = _random_graphs(300, seed=29)
     for graphs in (corpus_graphs, variants, random_graphs):
         assert verify_lemma1(graphs).to_json_dict() == (
@@ -473,7 +472,7 @@ def test_sweeps_match_per_item_reference_with_violations():
         stats = _sweep(names, items)
         assert _as_json(stats) == _reference_json(names, items), names
         assert all(v.violations > MAX_VIOLATION_EXAMPLES for v in stats.values())
-    variants = edge_deleted_variants(200, seed=23)
+    variants = list(edge_deleted_variants(200, seed=23))
     embs = [(e.graph, e.rotations) for e in map(planar_embed, variants)]
     names = ("lemma1", "lemma2", "lemma3")
     assert _as_json(_check_variant_chunk(variants)[1]) == _reference_json(names, embs)
