@@ -12,22 +12,29 @@ to relabeling and reflection, which the code minimizes over).
 Most children are rejected before their code is computed (the cheap half of
 McKay's canonical construction path).  Call an edge contractible when its
 endpoints have exactly two common neighbours, i.e. it lies in no separating
-triangle, and let f(x, y) = (min, max) of the endpoint degrees.  A child is
-kept only if no contractible edge has a smaller f than its new edge
-(v, new).  No class is lost:
+triangle; those two are the apexes of its two faces.  Let f(x, y) = (min,
+max) of the endpoint degrees, and let the key of a contractible edge be its
+f followed by the sorted degrees of its two apexes.  A child is kept only
+if no contractible edge has a smaller key than its new edge (v, new).  No
+class is lost:
   * every triangulation C on >= 5 vertices has a contractible edge; take
-    one, e* = xy, with the smallest f;
+    one, e* = xy, with the smallest key;
   * contracting e* gives a triangulation P on one vertex fewer, whose class
     is in the previous level;
   * in that level's representative of P, the merged vertex sees the two
-    common neighbours of x and y at some positions i < j, and its split at
-    (i, j) rebuilds C, up to reflection, with e* as the new edge (f does not
-    care which endpoint of e* becomes v);
-  * f and contractibility are isomorphism invariants, so that child passes.
-The new edge is itself contractible (its common neighbours are exactly the
-arc endpoints), so the strict comparison never rejects it against itself;
-ties between equally small edges keep several children of one class, which
-the code set merges.
+    apexes of e* at some positions i < j, and its split at (i, j) rebuilds
+    C, up to reflection, with e* as the new edge and those apexes as the arc
+    endpoints (the key does not care which endpoint of e* becomes v, nor
+    which apex is which);
+  * the key and contractibility are isomorphism invariants, so that child
+    passes.
+The new edge is itself contractible (its apexes are exactly the arc
+endpoints), so the strict comparison never rejects it against itself; ties
+between equally small keys keep several children of one class, which the
+code set merges.  The apex degrees cut the kept children, and so the codes
+computed, to 10 545 at n = 12, 2 128 at n = 11 and 2 933 over levels 5..11,
+where f alone keeps 14 961, 2 860 and 3 812.  The apexes of an edge are
+read only when its f ties the new edge's.
 
 Most of those children are rejected on the parent alone, before any child
 row is patched (103 257 of the 150 139 splits of the n = 11 level).  A
@@ -38,10 +45,13 @@ keeps its rows, hence its degrees, its common neighbours, its f and its
 contractibility.  Let far(v) be the least f over the parent's contractible
 edges outside N[v] (`_far_keys`).  A split of v whose rotation gap
 g = j - i gives the new edge f = sorted(g + 2, deg v - g + 2) > far(v)
-has a contractible edge of smaller f in its child, so the exact check
-would reject it; `_candidate_splits` skips all deg v - g of them at once.
-The surviving splits go to the exact check (`_new_edge_is_minimal`), so
-the kept splits, and with them the codes, are those of the exact check on
+has a contractible edge of smaller f, hence of smaller key, in its child,
+so the exact check would reject it; `_candidate_splits` skips all
+deg v - g of them at once.  The threshold stays on f: the apexes of a far
+edge may lie in N(v), whose degrees the split changes, and a split whose f
+ties far(v) goes on to the exact check, which compares the apexes.  The
+surviving splits go to the exact check (`_new_edge_is_minimal`), so the
+kept splits, and with them the codes, are those of the exact check on
 every split.
 
 A level is the sorted tuple of its classes' flat canonical codes (per
@@ -68,7 +78,10 @@ Correctness is defined by oracle equivalence, with no shared machinery:
 `bruteforce_triangulations` re-derives the levels up to n = 7 by filtering
 every graph with 3n - 6 edges for planarity and all-triangle faces, and
 `flip_graph_triangulations` those up to n = 11 by a search over diagonal
-flips, told apart by the general-graph canonical form.
+flips, told apart by the general-graph canonical form.  `audit_dump`
+checks a level's graph6 dump at any n up to 14 without re-deriving it:
+each line a triangulation, no two isomorphic, and as many as OEIS A000109
+counts.
 """
 
 from __future__ import annotations
@@ -85,7 +98,7 @@ from . import kernels
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
 from .families import build_D
-from .graphs import Graph, GraphError, _bits, _graph6_text, complete_graph
+from .graphs import Graph, GraphError, _bits, _graph6_text, complete_graph, parse_graph6
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +106,10 @@ MIN_N = 4
 MAX_N = 14          # hard cap: desk scale
 BRUTEFORCE_MAX_N = 7
 FLIP_ORACLE_MAX_N = 11
+
+# OEIS A000109: the number of triangulation classes on n vertices
+A000109 = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249, 12: 7595,
+           13: 49566, 14: 339722}
 
 # Tetrahedron rotation system, consistently oriented (the generation seed);
 # its facial walks are (0,1,2), (0,2,3), (0,3,1), (1,3,2).
@@ -182,10 +199,13 @@ def _new_edge_is_minimal(
 ) -> bool:
     """Canonical-edge filter for the split of v at positions i < j.
 
-    True iff no contractible edge of the child has a smaller f than the new
-    edge (v, new), where f(x, y) = (min, max) of the endpoint degrees.  Works
-    on the parent's adjacency bitmasks `rows` and degrees `degs`, patched to
-    the child's, so the child's rotation system is built only if it passes.
+    True iff no contractible edge of the child has a smaller key than the
+    new edge (v, new).  The key of xy is f(x, y) = (min, max) of the
+    endpoint degrees, then the sorted degrees of the two common neighbours
+    of x and y (the apexes of its faces); the new edge's apexes are the arc
+    endpoints.  Works on the parent's adjacency bitmasks `rows` and degrees
+    `degs`, patched to the child's, so the child's rotation system is built
+    only if it passes.
     """
     n = len(rows)
     bit_v, bit_new = 1 << v, 1 << n
@@ -207,6 +227,8 @@ def _new_edge_is_minimal(
     cdegs[wi] += 1
     cdegs[wj] += 1
     a, b = (dv, dn) if dv <= dn else (dn, dv)
+    p, q = cdegs[wi], cdegs[wj]
+    apex = p << 8 | q if p <= q else q << 8 | p
     for x, dx in enumerate(cdegs):
         if dx > a:
             continue
@@ -214,7 +236,17 @@ def _new_edge_is_minimal(
         for y in _bits(rx):
             dy = cdegs[y]
             lo, hi = (dx, dy) if dx <= dy else (dy, dx)
-            if (lo < a or (lo == a and hi < b)) and (rx & crows[y]).bit_count() == 2:
+            if lo > a or (lo == a and hi > b):
+                continue
+            common = rx & crows[y]
+            if common.bit_count() != 2:
+                continue
+            if lo < a or hi < b:
+                return False
+            # f ties the new edge's: compare the apex degree pairs
+            low = common & -common
+            p, q = cdegs[low.bit_length() - 1], cdegs[(common ^ low).bit_length() - 1]
+            if (p << 8 | q if p <= q else q << 8 | p) < apex:
                 return False
     return True
 
@@ -441,3 +473,39 @@ def _insert_between(rot: tuple[int, ...], p: int, q: int, x: int) -> tuple[int, 
     i, j = sorted((rot.index(p), rot.index(q)))
     at = j if j == i + 1 else len(rot)  # (0, len - 1): the pair wraps round
     return rot[:at] + (x,) + rot[at:]
+
+
+def audit_dump(n: int, lines: Iterable[str]) -> list[str]:
+    """Oracle: why the graph6 dump `lines` is not the n-vertex class set,
+    as one message per fault ([] for a sound dump).
+
+    Every line must parse to an n-vertex graph that `planar_embed` embeds
+    as a triangulation, no two lines may share a `canonical_form`, and the
+    lines must number A000109's count for n.  Then the lines are exactly
+    the classes, one each.  Nothing is shared with the splitting generator
+    or its embedding code but the `graphs` module.
+    """
+    if n not in A000109:
+        raise GraphError(f"dump audit supports {min(A000109)} <= n <= {max(A000109)}")
+    faults = []
+    seen: dict[str, int] = {}
+    count = 0
+    for count, line in enumerate(lines, 1):
+        try:
+            g = parse_graph6(line)
+        except GraphError as exc:
+            faults.append(f"line {count}: {exc}")
+            continue
+        if g.n != n:
+            faults.append(f"line {count}: {g.n} vertices, not {n}")
+            continue
+        emb = planar_embed(g)
+        if not (isinstance(emb, Embedding) and is_triangulation(emb)):
+            faults.append(f"line {count}: not a triangulation")
+            continue
+        first = seen.setdefault(canonical_form(g), count)
+        if first != count:
+            faults.append(f"line {count}: isomorphic to line {first}")
+    if count != A000109[n]:
+        faults.append(f"{count} lines, but A000109 counts {A000109[n]} classes on {n} vertices")
+    return faults

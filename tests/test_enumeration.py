@@ -14,6 +14,7 @@ from pentaplanar.enumeration import (
     _expand_batch,
     _grow,
     _new_edge_is_minimal,
+    audit_dump,
     bruteforce_triangulations,
     code_to_embedding,
     corpus,
@@ -23,7 +24,7 @@ from pentaplanar.enumeration import (
     flip_graph_triangulations,
     split_vertex,
 )
-from pentaplanar.graphs import Graph, GraphError, parse_graph6
+from pentaplanar.graphs import Graph, GraphError, parse_graph6, to_graph6
 from pentaplanar.verification import verify_monotonicity, verify_theorem
 
 # published class counts of planar triangulations (simplicial polyhedra)
@@ -168,15 +169,18 @@ def test_child_filter_loses_no_class():
 
 def _new_edge_is_minimal_reference(child, v):
     """Reference filter, read off the child itself: no contractible edge has
-    a smaller (min, max) endpoint degree pair than the new edge (v, new)."""
-    rows = [sum(1 << w for w in r) for r in child]
+    a smaller key than the new edge (v, new), where the key of xy is its
+    (min, max) endpoint degree pair, then the sorted degrees of the two
+    common neighbours of x and y."""
+    nbrs = [set(r) for r in child]
+    deg = [len(r) for r in child]
 
-    def f(x, y):
-        return sorted((len(child[x]), len(child[y])))
+    def key(x, y):
+        return sorted((deg[x], deg[y])), sorted(deg[w] for w in nbrs[x] & nbrs[y])
 
-    new_f = f(v, len(child) - 1)
+    new_key = key(v, len(child) - 1)
     return not any(
-        (rows[x] & rows[y]).bit_count() == 2 and f(x, y) < new_f
+        len(nbrs[x] & nbrs[y]) == 2 and key(x, y) < new_key
         for x in range(len(child))
         for y in child[x]
     )
@@ -226,12 +230,18 @@ def _assert_filter_matches_reference(rotations, calls):
 
 
 def test_child_filter_matches_reference_and_rejects_most_children(min_code_calls):
+    kept_per_level = []
     for n in range(4, 11):
         tallies = [_assert_filter_matches_reference(_code_rotations(code), min_code_calls)
                    for code in corpus_codes(n)]
-    total, _, kept = map(sum, zip(*tallies))  # the n = 10 level
-    assert total == 23857
+        total, _, kept = map(sum, zip(*tallies))
+        kept_per_level.append(kept)
+    assert total == 23857  # the n = 10 level
     assert kept < 0.2 * total
+    # children kept for n = 5..11; the key's apex degrees are the child's,
+    # and a filter that reads them off the parent keeps more yet still
+    # finds every class
+    assert kept_per_level == [12, 9, 46, 67, 161, 509, 2128]
 
 
 def test_threshold_skips_two_thirds_of_the_splits():
@@ -309,6 +319,29 @@ def test_flip_graph_oracle_range_check():
         flip_graph_triangulations(3)
     with pytest.raises(GraphError):
         flip_graph_triangulations(12)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_dump_audit_passes_the_generated_dump(n):
+    assert audit_dump(n, corpus_graph6(n)) == []
+
+
+def test_dump_audit_names_every_fault():
+    lines = corpus_graph6(9)
+    relabeled = to_graph6(parse_graph6(lines[0]).relabel([(v + 1) % 9 for v in range(9)]))
+    assert relabeled != lines[0]
+    edge_dropped = to_graph6(Graph(9, parse_graph6(lines[1]).edges()[1:]))
+    count_fault = "49 lines, but A000109 counts 50 classes on 9 vertices"
+    assert audit_dump(9, lines[:-1]) == [count_fault]
+    assert audit_dump(9, lines[:-1] + [relabeled]) == ["line 50: isomorphic to line 1"]
+    assert audit_dump(9, lines[:-1] + [lines[3]]) == ["line 50: isomorphic to line 4"]
+    assert audit_dump(9, [lines[0], edge_dropped] + lines[2:]) == ["line 2: not a triangulation"]
+    assert audit_dump(9, [corpus_graph6(8)[0]] + lines[1:]) == ["line 1: 8 vertices, not 9"]
+    malformed = audit_dump(9, ["H!"] + lines[1:-1])
+    assert len(malformed) == 2 and malformed[0].startswith("line 1: ")
+    assert malformed[1] == count_fault
+    with pytest.raises(GraphError):
+        audit_dump(15, [])
 
 
 def test_range_checks():
