@@ -274,7 +274,10 @@ static int bfs_code(rotsys *r, int su, int sv, int rev)
     return !tie;
 }
 
-/* Precondition: rot is a valid, symmetric rotation system, as split_vertex
+/* Returns the code as bytes, one byte per degree or label, like the pure
+ * kernel; n <= MAXN keeps every entry below 256.
+ *
+ * Precondition: rot is a valid, symmetric rotation system, as split_vertex
  * and Embedding produce.  Symmetry is checked only along completed codes, so
  * a damaged system can get a code instead of ValueError; a full check would
  * cost every child of the enumeration. */
@@ -286,7 +289,7 @@ static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *const *
     if (n < 0)
         return NULL;
     if (n <= 1)
-        return n == 0 ? PyTuple_New(0) : Py_BuildValue("(i)", 0);
+        return PyBytes_FromStringAndSize("", n); /* b"" or b"\x00" */
     rotsys *r = PyMem_Malloc(sizeof(rotsys));
     if (r == NULL)
         return PyErr_NoMemory();
@@ -329,16 +332,11 @@ static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *const *
         }
     }
     Py_ssize_t len = n + r->off[n - 1] + r->deg[n - 1];
-    if ((out = PyTuple_New(len)) == NULL)
+    if ((out = PyBytes_FromStringAndSize(NULL, len)) == NULL)
         goto fail;
-    for (Py_ssize_t i = 0; i < len; i++) {
-        PyObject *item = PyLong_FromLong(r->best[i]);
-        if (item == NULL) {
-            Py_DECREF(out);
-            goto fail;
-        }
-        PyTuple_SET_ITEM(out, i, item);
-    }
+    char *bytes = PyBytes_AS_STRING(out);
+    for (Py_ssize_t i = 0; i < len; i++)
+        bytes[i] = (char)r->best[i];
     PyMem_Free(r);
     return out;
 fail:
@@ -356,7 +354,7 @@ static PyMethodDef methods[] = {
      "paths3_per_edge(rows, n): the paths u-x-y-v of every edge, in edge order."},
     {"embedding_min_code", (PyCFunction)(void (*)(void))embedding_min_code, METH_FASTCALL,
      "embedding_min_code(rot, n): canonical flat code of a connected simple\n"
-     "rotation system (see _purekern.embedding_min_code)."},
+     "rotation system, as bytes (see _purekern.embedding_min_code)."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,10 +1,10 @@
 """Pure-Python bit kernels: the fallback backend.
 
 Covers every kernel of the compiled extension `_fastkern`, with identical
-results (ints, lists, tuples), plus `paths3_between`, which the dispatcher
-in `kernels` always runs here.  Adjacency rows are arbitrary precision
-Python ints, so this backend works for any n, whereas the compiled one is
-limited to n <= 64.
+results (ints, lists, tuples, bytes), plus `paths3_between`, which the
+dispatcher in `kernels` always runs here.  Adjacency rows are arbitrary
+precision Python ints, so this backend works for any n (the embedding
+code for n <= 256), whereas the compiled one is limited to n <= 64.
 
 Hot-loop conventions shared by both backends:
   * edge order is u < v ascending lexicographic, matching Graph.edges();
@@ -175,8 +175,10 @@ def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """Canonical flat code of a connected simple rotation system.
+def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
+    """Canonical flat code of a connected simple rotation system, as
+    `bytes`: one byte per entry, so n <= 256 (every degree and label is
+    then at most 255); a larger n raises ValueError.
 
     Minimum, over every directed starting edge whose tail has minimum degree
     and both reading directions, of the breadth-first relabeling code.  Two
@@ -198,10 +200,12 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, .
     code instead of a ValueError; a full check would cost every child of the
     enumeration.
     """
+    if n > 256:
+        raise ValueError(f"embedding code needs n <= 256, got {n}")
     if n == 0:
-        return ()
+        return b""
     if n == 1:
-        return (0,)
+        return b"\x00"
     degs = [len(r) for r in rot]
     dmin = min(degs)
     starts = [(u, v) for u in range(n) if degs[u] == dmin for v in rot[u]]
@@ -216,7 +220,7 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, .
             code = _bfs_code(rot, n, u, v, rev, best)
             if code is not None:
                 best = code
-    return tuple(best)
+    return bytes(best)
 
 
 def _bfs_code(

@@ -55,14 +55,20 @@ kept splits, and with them the codes, are those of the exact check on
 every split.
 
 A level is the sorted tuple of its classes' flat canonical codes (per
-vertex, its degree and then its neighbours in rotation order), as
-`embedding_min_code` returns them; `_code_rotations` decodes one, and
-`_code_graph6` writes its graph6 line without decoding it.  The codes are
-all that is kept.  The next level and the per-class checks in
-`verification` read the rotation system or the bit rows straight off a
-code, and the graph6 dump reads the code itself; an `Embedding` (with its
-validated `Graph`) is built by `code_to_embedding` only where a caller
-asks for one: `corpus`, and the classes `verification` draws or reports.
+vertex, its degree and then its neighbours in rotation order), each a
+`bytes` object of 7n - 12 entries as `embedding_min_code` returns it: at
+n = 12 a class takes 105 B, where a tuple of ints took 616 B, and a batch
+crosses the process pool as one short string per class.  All codes of a
+level have the same length and every entry is below n <= 14, so sorted
+bytes are in the order of the sorted tuples of ints.  `_code_rotations`
+decodes a code into tuples of ints, the form `split_vertex`, `Embedding`
+and the kernels take, and `_code_graph6` writes its graph6 line without
+decoding it.  The codes are all that is kept.  The next level and the
+per-class checks in `verification` read the rotation system or the bit
+rows straight off a code, and the graph6 dump reads the code itself; an
+`Embedding` (with its validated `Graph`) is built by `code_to_embedding`
+only where a caller asks for one: `corpus`, and the classes
+`verification` draws or reports.
 
 One builder, `_grow`, turns a level into the next ones; `corpus_codes` uses
 it to fill only the levels its process-lifetime cache (`_LEVELS`) lacks.
@@ -141,14 +147,16 @@ class EnumerationCertificate:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _code_rotations(code: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _code_rotations(code: bytes) -> tuple[tuple[int, ...], ...]:
     """The rotation system a flat code encodes: per vertex, its degree and
-    then its neighbours in rotation order."""
+    then its neighbours in rotation order.  The code is unpacked into ints
+    once, so that each rotation is a slice of one tuple."""
+    flat = tuple(code)
     rotations = []
     pos = 0
-    while pos < len(code):
-        d = code[pos]
-        rotations.append(code[pos + 1 : pos + 1 + d])
+    while pos < len(flat):
+        d = flat[pos]
+        rotations.append(flat[pos + 1 : pos + 1 + d])
         pos += 1 + d
     return tuple(rotations)
 
@@ -158,7 +166,7 @@ def _rows(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
     return [sum(1 << w for w in rot) for rot in rotations]
 
 
-def code_to_embedding(code: tuple[int, ...]) -> Embedding:
+def code_to_embedding(code: bytes) -> Embedding:
     """Rebuild the canonically labeled embedding encoded by a flat code."""
     rotations = _code_rotations(code)
     return Embedding(Graph._from_rows(len(rotations), _rows(rotations)), rotations)
@@ -287,12 +295,12 @@ def _candidate_splits(
                     yield v, i, i + g
 
 
-def _expand_batch(batch: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
     """Canonical codes of the children of a batch of parent codes,
     restricted to the children whose new edge passes the canonical-edge
     filter: the threshold of `_candidate_splits`, then the exact
     `_new_edge_is_minimal`."""
-    codes: set[tuple[int, ...]] = set()
+    codes: set[bytes] = set()
     for code in batch:
         rotations = _code_rotations(code)
         child_n = len(rotations) + 1
@@ -305,9 +313,7 @@ def _expand_batch(batch: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
     return codes
 
 
-def _grow(
-    level: tuple[tuple[int, ...], ...], n: int, workers: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _grow(level: tuple[bytes, ...], n: int, workers: int) -> Iterator[tuple[bytes, ...]]:
     """Yield the levels after `level` up to n vertices, each one the sorted
     codes built from the one before it; see the module docstring for the
     pool policy."""
@@ -331,10 +337,10 @@ def _grow(
             pool.shutdown()
 
 
-_LEVELS: dict[int, tuple[tuple[int, ...], ...]] = {}
+_LEVELS: dict[int, tuple[bytes, ...]] = {}
 
 
-def corpus_codes(n: int, workers: int = 1) -> tuple[tuple[int, ...], ...]:
+def corpus_codes(n: int, workers: int = 1) -> tuple[bytes, ...]:
     """The canonical codes of all triangulation classes on n vertices,
     sorted.  Levels are cached for the process lifetime; the content is
     deterministic regardless of worker count."""
@@ -373,7 +379,7 @@ def corpus_graph6(n: int, workers: int = 1) -> list[str]:
     return sorted(_code_graph6(n, code) for code in corpus_codes(n, workers=workers))
 
 
-def _code_graph6(n: int, code: tuple[int, ...]) -> str:
+def _code_graph6(n: int, code: bytes) -> str:
     """graph6 of the n-vertex class with flat code `code`: each edge wv with
     w < v, read off v's rotation, sets body bit v(v-1)/2 + w."""
     body = bytearray((n * (n - 1) // 2 + 5) // 6)

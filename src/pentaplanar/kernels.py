@@ -54,8 +54,9 @@ def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
     return _purekern.paths3_between(rows, n, u, v)
 
 
-def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
-    """Canonical flat code of `rot` (see `_purekern.embedding_min_code`).
+def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
+    """Canonical flat code of `rot` as `bytes`, one byte per degree or
+    label, so n <= 256 (see `_purekern.embedding_min_code`).
 
     Precondition: `rot` is a valid, symmetric rotation system, as
     `enumeration.split_vertex` and `Embedding` produce: w is in v's rotation

@@ -192,7 +192,7 @@ def _rows_and_degs(rotations):
 
 def _as_code(rotations):
     """A flat code of any rotation system, in the format `_expand_batch` reads."""
-    return tuple(x for rot in rotations for x in (len(rot), *rot))
+    return bytes(x for rot in rotations for x in (len(rot), *rot))
 
 
 @pytest.fixture
@@ -384,13 +384,21 @@ def test_monotonicity_decodes_only_the_drawn_classes(decodes):
     assert len(decodes) == 20
 
 
-def test_levels_are_sorted_code_tuples():
+def test_levels_are_sorted_bytes_codes():
     corpus_codes(9)
     assert set(range(4, 10)) <= set(enumeration._LEVELS)
     for n, level in enumeration._LEVELS.items():
         assert isinstance(level, tuple) and list(level) == sorted(level), n
         for code in level:
-            assert isinstance(code, tuple) and all(type(x) is int for x in code), n
+            assert type(code) is bytes and len(code) == 7 * n - 12, n
+
+
+@pytest.mark.parametrize("n", range(4, 12))
+def test_bytes_order_is_the_order_of_int_tuples(n):
+    # corpus(n), the indices verify_theorem reports and the classes drawn
+    # by index all follow the level's order, which was that of the tuples
+    flat = [tuple(code) for code in corpus_codes(n)]
+    assert flat == sorted(flat)
 
 
 @pytest.mark.parametrize("n", range(4, 11))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from pentaplanar import kernels
+from pentaplanar.embeddings import planar_embed
 from pentaplanar.enumeration import corpus, split_vertex
 from pentaplanar.families import build_D, build_E
 from pentaplanar.graphs import Graph, complete_graph
@@ -193,7 +194,7 @@ def test_min_code_equals_full_minimum_on_every_child():
     children = list(_children(10))
     assert len(children) == 29444
     for rot in children:
-        want = _full_min_code(rot, len(rot))
+        want = bytes(_full_min_code(rot, len(rot)))
         for mod in built:
             assert mod.embedding_min_code(rot, len(rot)) == want
 
@@ -210,7 +211,7 @@ def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
         mirrored = tuple(r[::-1] for r in relabeled)
         code = pure.embedding_min_code(rot, n)
         for variant in (tuple(relabeled), mirrored):
-            assert _full_min_code(variant, n) == code
+            assert bytes(_full_min_code(variant, n)) == code
             for mod in built:
                 assert mod.embedding_min_code(variant, n) == code
 
@@ -220,6 +221,35 @@ def test_min_code_requires_connected():
         pure.embedding_min_code(((), ()), 2)
     with pytest.raises(ValueError):
         pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
+
+
+@needs_compiled
+def test_min_code_is_bytes_and_equal_on_every_backend():
+    rots = [((),) * n for n in (0, 1)]
+    rots += [e.rotations for n in range(4, 10) for e in corpus(n)]
+    rots += [planar_embed(g).rotations for g in _families(64)]
+    for rot in rots:
+        codes = [mod.embedding_min_code(rot, len(rot)) for mod in built]
+        assert all(type(code) is bytes for code in codes), rot
+        assert codes[0] == codes[1], rot
+    assert [fast().embedding_min_code(((),) * n, n) for n in (0, 1)] == [b"", b"\x00"]
+
+
+def _cycle(n):
+    return tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
+
+
+def test_min_code_takes_at_most_256_vertices():
+    # one byte per entry: at n = 256 the largest label is 255, and above it
+    # the pure kernel (which the dispatcher uses for n > 64) raises rather
+    # than return a code with wrapped entries
+    code = kernels.embedding_min_code(_cycle(256), 256)
+    assert max(code) == 255 and code == bytes(_full_min_code(_cycle(256), 256))
+    for n in (257, 300):
+        with pytest.raises(ValueError):
+            pure.embedding_min_code(_cycle(n), n)
+        with pytest.raises(ValueError):
+            kernels.embedding_min_code(_cycle(n), n)
 
 
 # The pure edge_profile and cycle_counts count in closed form; these are the
