@@ -114,6 +114,33 @@ def test_enumerate_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_count_json_text_of_a8(tmp_path, capsys):
+    # the exact stdout: keys in this order, two-space indent, one newline
+    g6 = tmp_path / "a8.g6"
+    run(capsys, "construct", "--family", "a8", "--out", str(g6))
+    code, out, _ = run(capsys, "count", str(g6), "--json")
+    per_edge = [[0, 1, 18], [0, 2, 18], [0, 3, 16], [0, 4, 18], [0, 5, 16], [0, 7, 16],
+                [1, 2, 18], [1, 3, 16], [1, 4, 18], [1, 5, 16], [1, 6, 16], [2, 3, 16],
+                [2, 4, 18], [2, 6, 16], [2, 7, 16], [4, 5, 16], [4, 6, 16], [4, 7, 16]]
+    assert code == 0 and out == json.dumps({
+        "schema_version": 1, "n": 8, "m": 18, "c3": 16, "c4": 33, "c5": 60,
+        "per_vertex_c5": [51, 51, 51, 24, 51, 24, 24, 24],
+        "per_edge_c5": per_edge,
+    }, indent=2) + "\n"
+
+
+def test_enumerate_json_text(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "6", "--json")
+    assert code == 0 and out == (
+        '{\n'
+        '  "schema_version": 1,\n'
+        '  "n": 6,\n'
+        '  "count": 2,\n'
+        '  "digest": "3e3c014200950841e151c2adfea66db28a1911475ba27f0fc947f9d77c8b802d"\n'
+        '}\n'
+    )
+
+
 def test_enumerate_workers_deterministic(capsys):
     code, a, _ = run(capsys, "enumerate", "--n", "7", "--json", "--workers", "1")
     code, b, _ = run(capsys, "enumerate", "--n", "7", "--json", "--workers", "8")
