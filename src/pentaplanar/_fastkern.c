@@ -4,8 +4,11 @@
    shared conventions (edge order u < v, code layout).  The dispatcher in
    `kernels` sends larger graphs to the pure backend.
 
+   Exports `edge_profile`, `paths3_per_edge` and `embedding_min_code`.
    The per-edge counts enumerate, over 64-bit adjacency rows, the paths
-   u-x-y-v and u-a-b-c-v of each edge: one loop over a in N(u) yields both.
+   u-x-y-v and u-a-b-c-v of each edge: one loop over a in N(u) yields both;
+   the edge's triangles are its endpoints' common neighbours.  The cycle
+   totals are summed from `edge_profile` in `kernels.cycle_counts`.
    `embedding_min_code` runs the pure kernel's algorithm: only start edges
    whose tail and head have least degree, and each code abandoned block by
    block once it is not below the best so far.
@@ -83,9 +86,10 @@ fail:
     return -1;
 }
 
-/* Per edge u < v, in edge order: into p3 the paths u-x-y-v and, when c5 is
-   given, into c5 the paths u-a-b-c-v.  Returns the number of edges. */
-static inline int edge_counts(const row_t *adj, int n, long *p3, long *c5)
+/* Per edge u < v, in edge order: into p3 the paths u-x-y-v and, when t3
+   and c5 are given, into t3 the common neighbours of u and v and into c5
+   the paths u-a-b-c-v.  Returns the number of edges. */
+static inline int edge_counts(const row_t *adj, int n, long *t3, long *p3, long *c5)
 {
     int m = 0;
     for (int u = 0; u < n; u++) {
@@ -105,8 +109,10 @@ static inline int edge_counts(const row_t *adj, int n, long *p3, long *c5)
                     paths4 += POPCNT(ra & adj[CTZ(cs)] & keep);
             }
             p3[m] = paths3;
-            if (c5 != NULL)
+            if (c5 != NULL) {
+                t3[m] = POPCNT(ru & rv);
                 c5[m] = paths4;
+            }
         }
     }
     return m;
@@ -125,36 +131,19 @@ static PyObject *to_list(const long *values, int m)
     return out;
 }
 
-static PyObject *cycle_counts(PyObject *Py_UNUSED(self), PyObject *const *args,
-                              Py_ssize_t nargs)
-{
-    row_t adj[MAXN];
-    long p3[MAXM], c5[MAXM], t3 = 0, t4 = 0, t5 = 0;
-    int n = load_rows(args, nargs, adj);
-    if (n < 0)
-        return NULL;
-    int m = edge_counts(adj, n, p3, c5);
-    for (int u = 0; u < n; u++)
-        for (row_t vs = adj[u] & above(u); vs; vs &= vs - 1)
-            t3 += POPCNT(adj[u] & adj[CTZ(vs)]);
-    for (int e = 0; e < m; e++) {
-        t4 += p3[e];
-        t5 += c5[e];
-    }
-    return Py_BuildValue("(lll)", t3 / 3, t4 / 4, t5 / 5);
-}
-
 static PyObject *edge_profile(PyObject *Py_UNUSED(self), PyObject *const *args,
                               Py_ssize_t nargs)
 {
     row_t adj[MAXN];
-    long p3[MAXM], c5[MAXM];
+    long t3[MAXM], p3[MAXM], c5[MAXM];
     int n = load_rows(args, nargs, adj);
     if (n < 0)
         return NULL;
-    int m = edge_counts(adj, n, p3, c5);
-    PyObject *c5s = to_list(c5, m), *p3s = c5s == NULL ? NULL : to_list(p3, m);
-    return Py_BuildValue("(NN)", c5s, p3s); /* frees c5s when p3s is NULL */
+    int m = edge_counts(adj, n, t3, p3, c5);
+    PyObject *t3s = to_list(t3, m), *p3s = t3s == NULL ? NULL : to_list(p3, m);
+    PyObject *c5s = p3s == NULL ? NULL : to_list(c5, m);
+    /* on a NULL list, frees the lists made before it */
+    return Py_BuildValue("(NNN)", t3s, p3s, c5s);
 }
 
 static PyObject *paths3_per_edge(PyObject *Py_UNUSED(self), PyObject *const *args,
@@ -165,7 +154,7 @@ static PyObject *paths3_per_edge(PyObject *Py_UNUSED(self), PyObject *const *arg
     int n = load_rows(args, nargs, adj);
     if (n < 0)
         return NULL;
-    return to_list(p3, edge_counts(adj, n, p3, NULL));
+    return to_list(p3, edge_counts(adj, n, NULL, p3, NULL));
 }
 
 /* A rotation system, flattened, and the work space of one code. */
@@ -345,11 +334,9 @@ fail:
 }
 
 static PyMethodDef methods[] = {
-    {"cycle_counts", (PyCFunction)(void (*)(void))cycle_counts, METH_FASTCALL,
-     "cycle_counts(rows, n): the numbers of 3-, 4- and 5-cycles."},
     {"edge_profile", (PyCFunction)(void (*)(void))edge_profile, METH_FASTCALL,
-     "edge_profile(rows, n): per edge, in edge order, the 5-cycles through it\n"
-     "and the paths u-x-y-v on four distinct vertices."},
+     "edge_profile(rows, n): three lists, per edge in edge order: the 3-, 4-\n"
+     "and 5-cycles through it."},
     {"paths3_per_edge", (PyCFunction)(void (*)(void))paths3_per_edge, METH_FASTCALL,
      "paths3_per_edge(rows, n): the paths u-x-y-v of every edge, in edge order."},
     {"embedding_min_code", (PyCFunction)(void (*)(void))embedding_min_code, METH_FASTCALL,

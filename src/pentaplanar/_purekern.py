@@ -1,15 +1,17 @@
 """Pure-Python bit kernels: the fallback backend.
 
-Covers every kernel of the compiled extension `_fastkern`, with identical
-results (ints, lists, tuples, bytes), plus `paths3_between`, which the
+Covers the three kernels of the compiled extension `_fastkern`
+(`edge_profile`, `paths3_per_edge` and `embedding_min_code`), with
+identical results (lists, tuples, bytes), plus `paths3_between`, which the
 dispatcher in `kernels` always runs here.  Adjacency rows are arbitrary
 precision Python ints, so this backend works for any n (the embedding
 code for n <= 256), whereas the compiled one is limited to n <= 64.
 
 Hot-loop conventions shared by both backends:
   * edge order is u < v ascending lexicographic, matching Graph.edges();
-  * a 5-cycle through an edge {u,v} decomposes uniquely into u-a-b-c-v, so
-    summing per-edge path counts overcounts each cycle exactly 5 times;
+  * `edge_profile` gives, per edge, the 3-, 4- and 5-cycles through it; a
+    k-cycle has k edges, so the sum over the edges counts it k times
+    (`kernels.cycle_totals` divides);
   * the flat embedding code is, per vertex in discovery order, its degree
     followed by its neighbor labels in rotation order starting from the
     entry neighbor.
@@ -60,10 +62,12 @@ def _codegree_planes(rows: tuple[int, ...], nbrs: list[list[int]]) -> list[list[
     return out
 
 
-def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """Per edge, in edge order: the 5-cycles through it (c5) and the paths
-    u-x-y-v on four distinct vertices (p3), both from one
-    `_codegree_planes` pass.
+def edge_profile(
+    rows: tuple[int, ...], n: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Per edge, in edge order: the 3-, 4- and 5-cycles through it (t3, p3,
+    c5), all from one `_codegree_planes` pass.  t3(uv) = |N(u) & N(v)|,
+    and a 4-cycle through uv is a path u-x-y-v on four distinct vertices.
 
     The walks u-x-y-v number sum_{y in N(v)} W(u, y); those with x = v
     number deg v, those with y = u deg u, and the one walk u-v-u-v has
@@ -109,8 +113,9 @@ def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     deg = [len(nu) for nu in nbrs]
     planes = _codegree_planes(rows, nbrs)
     a3 = [sum((p & rows[u]).bit_count() << i for i, p in planes[u]) for u in range(n)]
-    c5: list[int] = []
+    t3: list[int] = []
     p3: list[int] = []
+    c5: list[int] = []
     for u, nu in enumerate(nbrs):
         ru, pu, a3u = rows[u], planes[u], a3[u]
         for v in nu:
@@ -118,8 +123,9 @@ def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
                 continue
             rv, pv = rows[v], planes[v]
             common = ru & rv
+            t = common.bit_count()
             walks = 1 - deg[v]
-            total = 5 * common.bit_count() - a3u - a3[v]
+            total = 5 * t - a3u - a3[v]
             while common:
                 low = common & -common
                 total -= deg[low.bit_length() - 1]
@@ -128,24 +134,10 @@ def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
                 walks += (p & rv).bit_count() << i
                 for j, q in pv:
                     total += (p & q).bit_count() << (i + j)
-            c5.append(total)
+            t3.append(t)
             p3.append(walks)
-    return c5, p3
-
-
-def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
-    """Exact numbers of 3-, 4- and 5-cycles via per-edge path counting.
-
-    Edge uv lies on |N(u) & N(v)| triangles, on p3(uv) 4-cycles and on
-    c5(uv) 5-cycles (see `edge_profile`).
-    """
-    c5, p3 = edge_profile(rows, n)
-    t3 = 0
-    for u in range(n):
-        ru = rows[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            t3 += (ru & rows[v]).bit_count()
-    return t3 // 3, sum(p3) // 4, sum(c5) // 5
+            c5.append(total)
+    return t3, p3, c5
 
 
 def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:

@@ -58,7 +58,7 @@ graphs pay only for remembering the first leaf.
 
 from __future__ import annotations
 
-from .graphs import Graph, _graph6
+from .graphs import Graph, _graph6, _mask
 
 
 def canonical_form(g: Graph) -> str:
@@ -264,9 +264,3 @@ def _uniform(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
                 return False
     return True
 
-
-def _mask(cell: list[int]) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m

@@ -1,13 +1,14 @@
 """Exact counters for the bounded quantities: k-cycles for k <= 5, length-3
 paths between vertex pairs, and length-3 paths anchored on a triangle.
 
-`count_cycles` is the production counter: per-edge path counts, summed
-over the edges.  `cycle_report` takes the per-edge 4- and 5-cycle counts
-from one `kernels.edge_profile` call.  The compiled kernel (C, n <= 64)
-enumerates the paths of each edge over 64-bit rows in one loop; the pure
-one counts them in closed form from one pass of bit-sliced codegrees (see
-`_purekern`).  `count_paths3` checks one vertex pair and always runs
-pure.  `count_cycles_bruteforce` re-counts by exhaustive ordered walk
+`count_cycles` is the production counter: `kernels.cycle_counts` sums the
+per-edge 3-, 4- and 5-cycle counts of one `kernels.edge_profile` call.
+`cycle_report` sums one profile the same way (`kernels.cycle_totals`) and
+reads its per-edge and per-vertex C5 tallies off it.  The compiled kernel
+(C, n <= 64) enumerates the paths of each edge over 64-bit rows in one
+loop; the pure one counts them in closed form from one pass of bit-sliced
+codegrees (see `_purekern`).  `count_paths3` checks one vertex pair and
+always runs pure.  `count_cycles_bruteforce` re-counts by exhaustive ordered walk
 enumeration and exists purely as an independent oracle; it must never
 share code with the production path.
 """
@@ -15,7 +16,7 @@ share code with the production path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from . import kernels
@@ -37,16 +38,7 @@ class CycleCountReport:
     per_edge_c5: tuple[tuple[int, int, int], ...]  # (u, v, count), u < v
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "m": self.m,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c5": self.c5,
-            "per_vertex_c5": list(self.per_vertex_c5),
-            "per_edge_c5": [list(t) for t in self.per_edge_c5],
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -60,20 +52,12 @@ def count_cycles(g: Graph, k: int) -> int:
 
 
 def cycle_report(g: Graph) -> CycleCountReport:
-    """Cycle counts for k = 3, 4, 5 plus the per-vertex and per-edge C5 tallies.
-
-    Every total comes from one per-edge pass: c_k is the per-edge k-cycle
-    sum divided by k, since a k-cycle has k edges.  An edge uv lies on
-    |N(u) & N(v)| triangles, on one 4-cycle per path u-x-y-v and on one
-    5-cycle per path u-a-b-c-v; `edge_profile` gives both path counts at
-    once.
-    """
-    rows = g.bitrows
+    """Cycle counts for k = 3, 4, 5 plus the per-vertex and per-edge C5
+    tallies, all from one `edge_profile` pass."""
     edges = g.edges()
-    per_edge, paths3 = kernels.edge_profile(rows, g.n)
-    c3 = sum((rows[u] & rows[v]).bit_count() for u, v in edges) // 3
-    c4 = sum(paths3) // 4
-    c5 = sum(per_edge) // 5
+    profile = kernels.edge_profile(g.bitrows, g.n)
+    c3, c4, c5 = kernels.cycle_totals(profile)
+    per_edge = profile[2]
     vertex_tally = [0] * g.n
     for (u, v), cnt in zip(edges, per_edge):
         vertex_tally[u] += cnt

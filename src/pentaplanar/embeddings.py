@@ -34,9 +34,9 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .graphs import Graph, _bits, _flood
+from .graphs import Graph, _bits, _flood, _mask
 
 
 class EmbeddingError(ValueError):
@@ -277,13 +277,6 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
             raise AssertionError("face structure does not close into a rotation")
         rotations[v] = cyc
     return rotations
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 def _bridges(

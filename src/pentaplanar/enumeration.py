@@ -28,6 +28,10 @@ class is lost:
     which apex is which);
   * the key and contractibility are isomorphism invariants, so that child
     passes.
+Ranking every edge, contractible or not, would lose classes: in a
+25-vertex class built from two icosahedra sharing one vertex (see
+`tests/test_enumeration.py`), the least f edge lies in a separating
+triangle and would reject both splits that rebuild the class.
 The new edge is itself contractible (its apexes are exactly the arc
 endpoints), so the strict comparison never rejects it against itself; ties
 between equally small keys keep several children of one class, which the
@@ -96,7 +100,7 @@ import hashlib
 import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -136,12 +140,7 @@ class EnumerationCertificate:
     digest: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "count": self.count,
-            "digest": self.digest,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

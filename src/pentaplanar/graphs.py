@@ -122,6 +122,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
     """The vertices of `within` reachable from the `seed` mask inside it."""
     reached = frontier = seed

@@ -5,8 +5,13 @@ built and the graph fits in 64-bit rows (n <= 64); otherwise the
 pure-Python twin `_purekern` takes over.  Setting PENTAPLANAR_KERNEL=pure
 forces the fallback, which is how the benchmark and the parity tests
 exercise both sides.  The backend is chosen once, when this module is
-imported, and every kernel follows the same rule.  `paths3_between` checks
-a single vertex pair and always runs pure.
+imported, and every kernel follows the same rule.  Both backends export
+`edge_profile`, `paths3_per_edge` and `embedding_min_code`;
+`paths3_between` checks a single vertex pair and always runs pure.
+
+`edge_profile` gives, per edge, the 3-, 4- and 5-cycles through it.  A
+k-cycle has k edges, so `cycle_totals` turns the profile into totals by
+dividing each per-edge sum by k; it is the one place that does.
 """
 
 from __future__ import annotations
@@ -34,16 +39,24 @@ def _pick(n: int):
 
 
 def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
-    return _pick(n).cycle_counts(rows, n)
+    """The numbers of 3-, 4- and 5-cycles."""
+    return cycle_totals(edge_profile(rows, n))
 
 
-def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    """(c5 per edge, paths3_per_edge) in one call."""
+def cycle_totals(profile: tuple[list[int], list[int], list[int]]) -> tuple[int, int, int]:
+    """The numbers of 3-, 4- and 5-cycles from an `edge_profile`."""
+    t3, p3, c5 = profile
+    return sum(t3) // 3, sum(p3) // 4, sum(c5) // 5
+
+
+def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int], list[int]]:
+    """(t3, p3, c5): per edge, in edge order, the 3-, 4- and 5-cycles
+    through it."""
     return _pick(n).edge_profile(rows, n)
 
 
 def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    return edge_profile(rows, n)[0]
+    return edge_profile(rows, n)[2]
 
 
 def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:

@@ -38,7 +38,7 @@ import json
 import random
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
 
@@ -118,13 +118,7 @@ class LemmaStats:
         self.examples = (self.examples + other.examples)[:MAX_VIOLATION_EXAMPLES]
 
     def to_json_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-            "max_slack": self.max_slack,
-            "examples": list(self.examples),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -135,33 +129,18 @@ class ExtremalEntry:
 
 @dataclass
 class VerificationCertificate:
+    # the fields are the JSON keys in order, which the CI sha256 pins fix
     n: int
     max_c5: int
     g_n: int
     expected_max: int
-    second_best: int | None
-    extremal: tuple[ExtremalEntry, ...]
     theorem_match: bool
+    extremal: tuple[ExtremalEntry, ...]
+    second_best: int | None
     lemmas: dict[str, LemmaStats] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n": self.n,
-            "max_c5": self.max_c5,
-            "g_n": self.g_n,
-            "expected_max": self.expected_max,
-            "theorem_match": self.theorem_match,
-            "extremal": [
-                {"graph6": e.graph6, "family": e.family} for e in self.extremal
-            ],
-            "second_best": self.second_best,
-            "lemmas": (
-                {k: v.to_json_dict() for k, v in self.lemmas.items()}
-                if self.lemmas is not None
-                else None
-            ),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -235,8 +214,9 @@ def _check_chunk(
         rows = tuple(_rows(rots))
         p3 = None
         if count:
-            c5, p3 = kernels.edge_profile(rows, n)
-            counts.append(sum(c5) // 5)
+            profile = kernels.edge_profile(rows, n)
+            p3 = profile[1]
+            counts.append(kernels.cycle_totals(profile)[2])
         _check(stats, n, rows, rots, p3)
     return counts, stats
 
@@ -461,14 +441,7 @@ class MonotonicityResult:
     counterexamples: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "samples": self.samples,
-            "edges_tested": self.edges_tested,
-            "seed": self.seed,
-            "passed": self.passed,
-            "counterexamples": list(self.counterexamples),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResult:

@@ -309,6 +309,51 @@ def test_child_filter_matches_reference_on_random_min_degree_4_and_5(min_code_ca
     assert seen[4] >= 10 and seen[5] >= 10, seen
 
 
+def _icosahedron(label):
+    """The icosahedron's edges, its vertices 0..11 named by `label`: 0 on
+    top of the ring 1..5, the ring 6..10 below, 11 at the bottom; (0, 1, 2)
+    is a face."""
+    edges = []
+    for i in range(1, 6):
+        j = i % 5 + 1
+        edges += [(0, i), (i, j), (11, 5 + i), (5 + i, 5 + j), (i, 5 + i), (i, 5 + j)]
+    return [(label[a], label[b]) for a, b in edges]
+
+
+def test_contractibility_is_needed_by_the_child_filter():
+    # Two icosahedra share only c; y sees the face (c, x2, r) of the first
+    # and the face (c, x4, r2) of the second, and u sees y, c, x2 and x4.
+    c, x2, r, y, u = 0, 1, 2, 23, 24
+    second = [c, *range(12, 23)]
+    x4, r2 = second[1], second[2]
+    edges = _icosahedron(range(12)) + _icosahedron(second)
+    edges += [(y, w) for w in (c, x2, r, r2, x4)]
+    parent = Graph(24, edges + [(x2, x4)])  # u-x2 contracted
+    witness = Graph(25, edges + [(u, w) for w in (y, c, x2, x4)])
+    rows = witness.bitrows
+    deg = [row.bit_count() for row in rows]
+    assert is_triangulation(planar_embed(witness))
+    assert [v for v in range(25) if deg[v] == 4] == [u]
+    # u-y has the least degree pair, but u, y, c is a separating triangle
+    f = {(x, z): tuple(sorted((deg[x], deg[z]))) for x, z in witness.edges()}
+    assert f[y, u] == (4, 6) == min(f.values())
+    assert (rows[u] & rows[y]).bit_count() == 3
+    assert min(f[e] for e in f if (rows[e[0]] & rows[e[1]]).bit_count() == 2) == (4, 7)
+    # so a filter that also ranks non-contractible edges drops the class:
+    # both splits of the parent that rebuild it must pass
+    rotations = planar_embed(parent).rotations
+    prows, pdegs = _rows_and_degs(rotations)
+    candidates = set(_candidate_splits(rotations, prows, pdegs))
+    form = canonical_form(witness)
+    rebuilt = [(v, i, j) for v, i, j in _splits(rotations)
+               if canonical_form(_as_embedding(split_vertex(rotations, v, i, j)).graph) == form]
+    assert len(rebuilt) == 2
+    for v, i, j in rebuilt:
+        assert (v, i, j) in candidates
+        assert _new_edge_is_minimal(prows, pdegs, v, rotations[v], i, j)
+        assert _new_edge_is_minimal_reference(split_vertex(rotations, v, i, j), v)
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_flip_graph_oracle_matches_generator(n):
     assert flip_graph_triangulations(n) == sorted(canonical_form(e.graph) for e in corpus(n))

@@ -2,7 +2,7 @@
 be indistinguishable on every kernel.  Each built backend's canonical
 embedding code is also checked against a full-minimum reference that has
 neither early abort nor start-edge pruning, and the pure closed-form cycle
-and path counts (`edge_profile` and the kernels built on it) against the
+and path counts (`edge_profile` and the totals summed from it) against the
 5-path loop they replaced and the 3-path loop of `paths3_per_edge`."""
 
 import os
@@ -41,7 +41,9 @@ def _families(max_n):
 
 
 def _assert_cycle_counts_parity(g):
-    assert pure.cycle_counts(g.bitrows, g.n) == fast().cycle_counts(g.bitrows, g.n)
+    rows, n = g.bitrows, g.n
+    totals = kernels.cycle_totals
+    assert totals(pure.edge_profile(rows, n)) == totals(fast().edge_profile(rows, n))
 
 
 def _assert_per_edge_parity(g):
@@ -83,7 +85,9 @@ def test_large_graphs_fall_back_to_pure(g):
     # the dispatcher must route n > 64 to the pure backend transparently
     big = 70
     rows = tuple(list(g.bitrows) + [0] * (big - g.n))
-    assert kernels.cycle_counts(rows, big) == pure.cycle_counts(rows, big)
+    profile = pure.edge_profile(rows, big)
+    assert kernels.edge_profile(rows, big) == profile
+    assert kernels.cycle_counts(rows, big) == kernels.cycle_totals(profile)
 
 
 @needs_compiled
@@ -134,7 +138,7 @@ def test_backend_names():
     forced_pure = os.environ.get("PENTAPLANAR_KERNEL", "auto").lower() == "pure"
     assert kernels.backend_name() == ("pure" if forced_pure else "compiled")
     exported = {name for name in dir(fast()) if not name.startswith("_")}
-    assert exported == {"cycle_counts", "edge_profile", "embedding_min_code", "paths3_per_edge"}
+    assert exported == {"edge_profile", "embedding_min_code", "paths3_per_edge"}
 
 
 def _full_min_code(rot, n):
@@ -252,8 +256,8 @@ def test_min_code_takes_at_most_256_vertices():
             kernels.embedding_min_code(_cycle(n), n)
 
 
-# The pure edge_profile and cycle_counts count in closed form; these are the
-# loops they replaced, kept verbatim as references.
+# The pure edge_profile counts in closed form; these are the loops it and
+# the totals summed from it replaced, kept verbatim as references.
 
 
 def _bits(mask: int):
@@ -303,11 +307,12 @@ def _c5_per_edge_reference(rows: tuple[int, ...], n: int) -> list[int]:
 def _assert_closed_forms(g):
     rows, n = g.bitrows, g.n
     # the pure paths3_per_edge keeps the 3-path loop
+    t3 = [(rows[u] & rows[v]).bit_count() for u, v in g.edges()]
     c5, p3 = _c5_per_edge_reference(rows, n), pure.paths3_per_edge(rows, n)
-    assert pure.edge_profile(rows, n) == (c5, p3), g.edges()
-    assert pure.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
+    assert pure.edge_profile(rows, n) == (t3, p3, c5), g.edges()
     # the dispatcher; graphs with n > 64 take the pure fallback
-    assert kernels.edge_profile(rows, n) == (c5, p3), g.edges()
+    assert kernels.edge_profile(rows, n) == (t3, p3, c5), g.edges()
+    assert kernels.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
     assert kernels.c5_per_edge(rows, n) == c5, g.edges()
 
 
