@@ -263,4 +263,3 @@ def _uniform(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
             if cross and cross != mask:
                 return False
     return True
-
