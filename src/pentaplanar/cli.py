@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit JSON to stdout")
     p.add_argument("--out", help="write JSON here")
     p.add_argument("--allow-big", action="store_true",
-                   help="permit n = 13..14 (slow)")
+                   help=f"permit n = 13..{MAX_N} (slow)")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -213,11 +213,11 @@ def _parse_range(text: str) -> range:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ns = _parse_range(args.n)
-    cap = 14 if args.allow_big else 12
+    cap = MAX_N if args.allow_big else 12
     if not ns or ns[0] < 5 or ns[-1] > cap:
         raise GraphError(
             f"--n range must lie within 5..{cap}"
-            + ("" if args.allow_big else " (use --allow-big for 13..14)")
+            + ("" if args.allow_big else f" (use --allow-big for 13..{MAX_N})")
         )
     # grow every level in one pass, including the levels that --variants
     # samples, so one pool of --workers builds them all

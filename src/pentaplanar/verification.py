@@ -14,9 +14,10 @@ takes the path and pentagon counts from one `kernels.edge_profile` pass.  No fac
 cached: the facial triangles are read off the rotation system
 (`_triangles`).  Lemma 1 floods a common neighbourhood only when it has
 three or more vertices; with at most two it always holds (`_lemma1_note`
-gives the four cases).  Each sweep records a graph in aggregate: `checked`
-by count, the slack range over a list, then one `LemmaStats.violation`
-per violated item, in item order (`_record`).
+gives the four cases).  Each sweep records a graph in one
+`LemmaStats.add`: its item count, its slacks, and a note for each
+violated item alone, in item order, so the stats are those of one
+`LemmaStats.record` per item while no item that holds gets a note.
 
 Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
@@ -46,7 +47,7 @@ from . import kernels
 from .canon import canonical_form
 from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
-from .enumeration import _code_rotations, _rows, code_to_embedding, corpus_codes
+from .enumeration import MAX_N, _code_rotations, _rows, code_to_embedding, corpus_codes
 from .families import FamilySpec, build_A, build_D, expected_c5
 from .graphs import Graph, _bits, _flood
 
@@ -76,36 +77,32 @@ def expected_family_labels(n: int) -> tuple[str, ...]:
 
 @dataclass
 class LemmaStats:
+    """One sweep: items checked, violations, the slack range, and the notes
+    of the first MAX_VIOLATION_EXAMPLES violations.  `add` records one
+    graph's items in aggregate, and `merge` joins two sweeps."""
+
     checked: int = 0
     violations: int = 0
     min_slack: int | None = None
     max_slack: int | None = None
     examples: list[str] = field(default_factory=list)
 
-    def record(
-        self, ok: bool, slack: int | None = None, note: str | None = None
-    ) -> None:
-        self.record_all(1, () if slack is None else (slack,))
-        if not ok:
-            self.violation(note)
+    def record(self, ok: bool, slack: int | None = None, note: str | None = None) -> None:
+        self.add(1, () if slack is None else (slack,), () if ok else (note,))
 
-    def record_all(self, count: int, slacks=()) -> None:
-        """Count `count` checked items at once, with these slacks; each
-        violation among them is counted by `violation`."""
-        self.checked += count
+    def add(self, checked: int, slacks=(), notes=()) -> None:
+        """Count `checked` items of one graph: `slacks` holds their slacks
+        (or any values with the same least and greatest), and `notes` one
+        note per violated item, in item order.  A None note counts its
+        violation but keeps no example."""
+        self.checked += checked
         if slacks:
             lo, hi = min(slacks), max(slacks)
-            if self.min_slack is None or lo < self.min_slack:
-                self.min_slack = lo
-            if self.max_slack is None or hi > self.max_slack:
-                self.max_slack = hi
-
-    def violation(self, note: str | None = None) -> None:
-        """Count one violation among the checked items, keeping its note
-        while fewer than MAX_VIOLATION_EXAMPLES are kept."""
-        self.violations += 1
-        if note and len(self.examples) < MAX_VIOLATION_EXAMPLES:
-            self.examples.append(note)
+            self.min_slack = lo if self.min_slack is None else min(self.min_slack, lo)
+            self.max_slack = hi if self.max_slack is None else max(self.max_slack, hi)
+        self.violations += len(notes)
+        room = MAX_VIOLATION_EXAMPLES - len(self.examples)
+        self.examples += [note for note in notes if note][:room]
 
     def merge(self, other: LemmaStats) -> None:
         """Fold in the stats of the sweep that continues this one."""
@@ -155,8 +152,8 @@ def verify_theorem(
     equals the proven value, the maximizers are exactly the expected
     families, and every other class counts strictly fewer pentagons.
     """
-    if not (5 <= n <= 14):
-        raise ValueError(f"verify_theorem supports 5 <= n <= 14, got {n}")
+    if not (5 <= n <= MAX_N):
+        raise ValueError(f"verify_theorem supports 5 <= n <= {MAX_N}, got {n}")
     codes = corpus_codes(n, workers=workers)
     counts, lemmas = _check_level(n, _LEMMAS if include_lemmas else (), workers, True)
     max_c5 = max(counts)
@@ -257,17 +254,22 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
     remark4) its rotation system, into every sweep named in `stats`.
 
     `p3` is the graph's `paths3_per_edge` list, counted here when not
-    given.  Each sweep records the graph through `_record`."""
+    given.  Each sweep records the graph in one `LemmaStats.add`: Lemma 2
+    takes its slack range off the least and greatest path count, Lemma 3
+    keeps one slack per face, and only violated items get a note."""
     edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
     if "lemma1" in stats:
-        _record(stats["lemma1"], [_lemma1_note(rows, n, u, v) for u, v in edges])
+        notes = (_lemma1_note(rows, n, u, v) for u, v in edges
+                 if (rows[u] & rows[v]).bit_count() > 2)
+        stats["lemma1"].add(len(edges), notes=[note for note in notes if note])
     if p3 is None and ("lemma2" in stats or "lemma3" in stats):
         p3 = kernels.paths3_per_edge(rows, n)
-    if "lemma2" in stats and n >= 3:
+    if "lemma2" in stats and n >= 3 and p3:
         bound = 2 * (n - 3)
-        _record(stats["lemma2"], [
-            None if cnt <= bound else f"n={n} edge=({u},{v}) paths={cnt} > {bound}"
-            for (u, v), cnt in zip(edges, p3)], [bound - cnt for cnt in p3])
+        lo, hi = min(p3), max(p3)
+        notes = [] if hi <= bound else [f"n={n} edge=({u},{v}) paths={cnt} > {bound}"
+                                         for (u, v), cnt in zip(edges, p3) if cnt > bound]
+        stats["lemma2"].add(len(p3), (bound - hi, bound - lo), notes)
     if "lemma3" in stats and n >= 4:
         paths = dict(zip(edges, p3))
         notes, slacks = [], []
@@ -275,37 +277,25 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
             a, b, c = sorted(face)
             cnt = paths[a, b] + paths[b, c] + paths[a, c]
             bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
-            notes.append(None if cnt <= bound else f"n={n} face={face} paths={cnt} > {bound}")
             slacks.append(bound - cnt)
-        _record(stats["lemma3"], notes, slacks)
+            if cnt > bound:
+                notes.append(f"n={n} face={face} paths={cnt} > {bound}")
+        stats["lemma3"].add(len(slacks), slacks, notes)
     if "remark4" in stats:
-        _record(stats["remark4"], [
-            None if all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))
-            else f"n={n} vertex={v} rotation gap" for v, rot in enumerate(rots)])
-
-
-def _record(stats: LemmaStats, notes: list[str | None], slacks=()) -> None:
-    """Record one graph's items into a sweep, in aggregate: notes[i] is
-    None when item i holds, else its violation note, and slacks lists the
-    items' slacks, if the sweep has slacks.  The stats are those of one
-    `LemmaStats.record` per item."""
-    stats.record_all(len(notes), slacks)
-    for note in notes:
-        if note is not None:
-            stats.violation(note)
+        stats["remark4"].add(len(rots), notes=[
+            f"n={n} vertex={v} rotation gap" for v, rot in enumerate(rots)
+            if not all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))])
 
 
 def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
     """None when Lemma 1 holds at the edge uv, else the violation note.
 
-    With at most two common neighbours it always holds, with no flood:
-    none, and the closed set is K2, neither a triangulation nor a single
-    path; one, K3, both; two adjacent ones, K4, both; two non-adjacent
-    ones, K4 minus an edge, neither."""
+    `_check` asks only with three or more common neighbours; with at most
+    two it always holds: none, and the closed set is K2, neither a
+    triangulation nor a single path; one, K3, both; two adjacent ones, K4,
+    both; two non-adjacent ones, K4 minus an edge, neither."""
     common = rows[u] & rows[v]
     size = common.bit_count()
-    if size <= 2:
-        return None
     shape = _path_forest_shape(rows, common)
     if shape is None:
         return f"n={n} edge=({u},{v}): not a path forest"

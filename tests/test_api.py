@@ -21,3 +21,7 @@ def test_public_api_resolves():
             assert not hasattr(pentaplanar, name), name
             assert not hasattr(module, name), name
     assert not hasattr(pentaplanar.Embedding, "serialize")
+    # a sweep records through LemmaStats.add, record and merge alone
+    for name in ("record_all", "violation"):
+        assert not hasattr(verification.LemmaStats, name), name
+    assert not hasattr(verification, "_record")

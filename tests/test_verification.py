@@ -415,15 +415,20 @@ def _as_json(stats) -> dict:
 def test_level_check_matches_per_item_reference():
     """The per-class check (one edge_profile pass, faces read off the
     rotations, the Lemma 1 shortcut, aggregate recording) gives the per-item
-    reference's stats and counts on every class up to n = 10."""
+    reference's stats and counts on every class up to n = 10, and so does
+    the route of `verify --lemmas-only` (no count, one paths3_per_edge pass
+    per class)."""
     for n in range(5, 11):
         codes = corpus_codes(n)
         counts, stats = _check_chunk(codes, n, _ALL, True)
+        no_counts, lemmas_only = _check_chunk(codes, n, _ALL, False)
         items = []
         for code in codes:
             rots = _code_rotations(code)
             items.append((Graph._from_rows(n, _rows(rots)), rots))
-        assert _as_json(stats) == _reference_json(_ALL, items), n
+        reference = _reference_json(_ALL, items)
+        assert _as_json(stats) == reference, n
+        assert _as_json(lemmas_only) == reference and no_counts == [], n
         assert counts == [sum(_c5_per_edge_reference(g.bitrows, n)) // 5 for g, _ in items]
 
 
