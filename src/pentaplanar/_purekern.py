@@ -184,7 +184,7 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
         candidate heads cannot give the minimum and are not read at all;
       * each code is compared with the running best block by block while
         it is built, and abandoned as soon as it is larger (early abort).
-        A code that ties the best is dropped as well.
+        A code that ties the best leaves it as it is.
 
     Precondition: `rot` is a valid, symmetric rotation system, as
     `enumeration.split_vertex` and `Embedding` produce.  Symmetry is checked
@@ -209,7 +209,7 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
         if degs[v] != dsv:
             continue
         for rev in (False, True):
-            code = _bfs_code(rot, n, u, v, rev, best)
+            code = _bfs_code(rot, n, [u, v], rev, best)
             if code is not None:
                 best = code
     return bytes(best)
@@ -218,16 +218,17 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
 def _bfs_code(
     rot: tuple[tuple[int, ...], ...],
     n: int,
-    su: int,
-    sv: int,
+    order: list[int],
     rev: bool,
     best: list[int] | None,
 ) -> list[int] | None:
-    """The relabeling code from start edge (su, sv), or None as soon as it
-    is certain not to be smaller than `best`."""
+    """The relabeling code from the start edge order = [su, sv]: the walk
+    appends each vertex to `order` as it labels it, so that order[k] gets
+    label k.  Returns None as soon as the code is certain to be larger than
+    `best`, and `best` itself when the code equals it."""
+    su, sv = order
     lab = [-1] * n
     lab[su], lab[sv] = 0, 1
-    order = [su, sv]
     entry = [0] * n
     entry[su], entry[sv] = sv, su
     nxt = 2
@@ -254,4 +255,4 @@ def _bfs_code(
                 tie = False
     if nxt != n:
         raise ValueError("embedding code requires a connected graph")
-    return None if tie else code
+    return best if tie else code

@@ -2,8 +2,8 @@
 
 Human-readable output goes to stdout; JSON goes to files (--out) or replaces
 stdout under --json.  Every command is deterministic for a fixed (config,
-seed).  Exit codes: 0 success, 1 verification or oracle failure, 2 usage
-error.
+seed).  Exit codes: 0 success, 1 verification or oracle failure or a
+stdout closed before the output was written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -52,10 +52,17 @@ def main(argv: list[str] | None = None) -> int:
         workers, variants = getattr(args, "workers", 1), getattr(args, "variants", 0)
         if not 1 <= workers <= MAX_WORKERS or variants < 0:
             raise GraphError(f"--workers must be in 1..{MAX_WORKERS} and --variants at least 0")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout, so the output is incomplete; stdout is
+        # pointed at os.devnull, so that the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

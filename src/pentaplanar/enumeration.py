@@ -33,12 +33,31 @@ Ranking every edge, contractible or not, would lose classes: in a
 `tests/test_enumeration.py`), the least f edge lies in a separating
 triangle and would reject both splits that rebuild the class.
 The new edge is itself contractible (its apexes are exactly the arc
-endpoints), so the strict comparison never rejects it against itself; ties
-between equally small keys keep several children of one class, which the
-code set merges.  The apex degrees cut the kept children, and so the codes
-computed, to 10 545 at n = 12, 2 128 at n = 11 and 2 933 over levels 5..11,
-where f alone keeps 14 961, 2 860 and 3 812.  The apexes of an edge are
-read only when its f ties the new edge's.
+endpoints), so the strict comparison never rejects it against itself.  The
+apexes of an edge are read only when its f ties the new edge's.
+
+Only one split of each orbit of the parent's automorphism group Aut(P) is
+expanded, the least (v, i, j).  No class is lost either:
+  * an automorphism sigma maps the split of v at the unordered pair of
+    arcs to w_i, w_j onto the split of sigma(v) at the arcs to sigma(w_i),
+    sigma(w_j), and the two children are isomorphic, by an isomorphism
+    that maps new edge onto new edge (reversing orientation if sigma does);
+  * the filter key and contractibility are isomorphism invariants, so the
+    splits of one orbit all pass the filter or all fail it, and those that
+    pass give one class.
+Aut(P) is read off the parent's own code (`_automorphisms`): a relabeling
+walk of `embedding_min_code` that reproduces the code is an automorphism,
+and most parents have no other than the identity (970 of the 1 249 at
+n = 11, 6 756 of the 7 595 at n = 12).  A vertex that some automorphism
+maps to a smaller one is skipped whole; the splits of any other vertex v
+are compared with their images under the automorphisms that fix v
+(`_stabilisers`, `_least_in_orbit`).  Ties between equally small keys on
+edges of different orbits still keep several children of one class,
+which the code set merges.  The codes computed number 8 751 at n = 12
+(7 595 classes and 1 156 such ties), 1 429 at n = 11 and 1 762 over
+levels 5..11; the filter without the orbit pruning computes 10 545, 2 128
+and 2 932, and f alone, without the apex degrees, 14 961, 2 860 and
+3 812.
 
 Most of those children are rejected on the parent alone, before any child
 row is patched (103 257 of the 150 139 splits of the n = 11 level).  A
@@ -55,8 +74,7 @@ deg v - g of them at once.  The threshold stays on f: the apexes of a far
 edge may lie in N(v), whose degrees the split changes, and a split whose f
 ties far(v) goes on to the exact check, which compares the apexes.  The
 surviving splits go to the exact check (`_new_edge_is_minimal`), so the
-kept splits, and with them the codes, are those of the exact check on
-every split.
+threshold changes neither the kept splits nor the codes.
 
 A level is the sorted tuple of its classes' flat canonical codes (per
 vertex, its degree and then its neighbours in rotation order), each a
@@ -105,6 +123,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from . import kernels
+from ._purekern import _bfs_code
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
 from .families import build_D
@@ -280,24 +299,102 @@ def _far_keys(
             for v, row in enumerate(rows)]
 
 
+def _automorphisms(
+    rotations: tuple[tuple[int, ...], ...], code: bytes
+) -> list[tuple[list[int], bool]]:
+    """The automorphisms of the rotation system a canonical code encodes,
+    as pairs (sigma, reversed): sigma[k] is the image of vertex k, and sigma
+    maps the rotation of k onto that of sigma[k], read backwards when
+    `reversed` is set.  They are the relabeling walks of
+    `embedding_min_code`, from the start edges that its min-degree tail and
+    head rule admits (tails of the degree of vertex 0, heads of that of
+    vertex 1), that reproduce the code; the walk's visiting order is
+    sigma.  Only a walk that matches every block is accepted.  A start is
+    walked only if the degrees around its tail, read from its head, are
+    those of vertex 0's neighbours 1..deg 0, as the code's second entries
+    need; the identity, start (0, 1) forwards, is not walked."""
+    target = list(code)
+    degs = [len(r) for r in rotations]
+    n, d0, d1 = len(rotations), degs[0], degs[1]
+    ring = degs[1 : d0 + 1]
+    auts = [(list(range(n)), False)]
+    for u, rot_u in enumerate(rotations):
+        if degs[u] != d0:
+            continue
+        around = [degs[w] for w in rot_u]
+        for pos, v in enumerate(rot_u):
+            if degs[v] != d1:
+                continue
+            for rev in (False, True):
+                if rev:
+                    if around[pos::-1] + around[:pos:-1] != ring:
+                        continue
+                elif around[pos:] + around[:pos] != ring or u == pos == 0:
+                    continue
+                sigma = [u, v]
+                if _bfs_code(rotations, n, sigma, rev, target) is target:
+                    auts.append((sigma, rev))
+    return auts
+
+
+def _stabilisers(
+    rotations: tuple[tuple[int, ...], ...], auts: list[tuple[list[int], bool]]
+) -> list[list[tuple[int, bool]] | None]:
+    """Per vertex v: None when an automorphism maps v to a smaller vertex;
+    otherwise the position maps of the automorphisms that fix v and move its
+    rotation, each as (s, reversed), which sends position i of v's rotation
+    to s + i, or to s - i when reversed (mod deg v)."""
+    out: list[list[tuple[int, bool]] | None] = [[] for _ in rotations]
+    for sigma, rev in auts:
+        for v, image in enumerate(sigma):
+            maps = out[v]
+            if image < v:
+                out[v] = None
+            elif image == v and maps is not None:
+                rot_v = rotations[v]
+                s = rot_v.index(sigma[rot_v[0]])
+                if s or rev:
+                    maps.append((s, rev))
+    return out
+
+
+def _least_in_orbit(maps: list[tuple[int, bool]], d: int, i: int, j: int) -> bool:
+    """Whether no position map of v's stabiliser (`_stabilisers`) sends
+    the split of v at i < j to a smaller one."""
+    for s, rev in maps:
+        p, q = ((s - i) % d, (s - j) % d) if rev else ((s + i) % d, (s + j) % d)
+        if (p, q) < (i, j) if p < q else (q, p) < (i, j):
+            return False
+    return True
+
+
 def _candidate_splits(
-    rotations: tuple[tuple[int, ...], ...], rows: list[int], degs: list[int]
+    rotations: tuple[tuple[int, ...], ...],
+    rows: list[int],
+    degs: list[int],
+    stabilisers: list[list[tuple[int, bool]] | None] | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """The splits (v, i, j) that no contractible edge outside N[v] rejects:
-    those whose new edge's f key is at most far(v) (`_far_keys`)."""
+    those whose new edge's f key is at most far(v) (`_far_keys`).  Given
+    the parent's `stabilisers`, only the least split of each orbit."""
     for v, far in enumerate(_far_keys(rotations, rows, degs)):
+        maps = [] if stabilisers is None else stabilisers[v]
+        if maps is None:
+            continue
         d = degs[v]
         for g in range(1, d):
             lo, hi = (g + 2, d - g + 2) if 2 * g <= d else (d - g + 2, g + 2)
             if lo << 8 | hi <= far:
                 for i in range(d - g):
-                    yield v, i, i + g
+                    if not maps or _least_in_orbit(maps, d, i, i + g):
+                        yield v, i, i + g
 
 
 def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
     """Canonical codes of the children of a batch of parent codes,
-    restricted to the children whose new edge passes the canonical-edge
-    filter: the threshold of `_candidate_splits`, then the exact
+    restricted to the least split of each orbit of the parent's
+    automorphisms whose new edge passes the canonical-edge filter: the
+    threshold of `_candidate_splits`, then the exact
     `_new_edge_is_minimal`."""
     codes: set[bytes] = set()
     for code in batch:
@@ -305,7 +402,8 @@ def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
         child_n = len(rotations) + 1
         degs = [len(r) for r in rotations]
         rows = _rows(rotations)
-        for v, i, j in _candidate_splits(rotations, rows, degs):
+        stabilisers = _stabilisers(rotations, _automorphisms(rotations, code))
+        for v, i, j in _candidate_splits(rotations, rows, degs, stabilisers):
             if _new_edge_is_minimal(rows, degs, v, rotations[v], i, j):
                 child = split_vertex(rotations, v, i, j)
                 codes.add(kernels.embedding_min_code(child, child_n))

@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pentaplanar
 from pentaplanar.cli import _parse_range, main
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import FAMILY_MAX_N
@@ -314,6 +319,21 @@ def test_verify_malformed_range_is_a_usage_error(capsys):
     # the range is checked before it is materialised
     code, _, err = run(capsys, "verify", "--n", f"5..{10 ** 12}")
     assert code == 2 and "5..12" in err
+
+
+def test_closed_stdout_exits_1_without_an_error_line():
+    # the n = 12 dump (about 100 KB) outgrows the pipe, so the run is still
+    # writing when the reader closes it after one line, as `| head -1` does
+    src = str(Path(pentaplanar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pentaplanar", "enumerate", "--n", "12", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"K")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
 
 
 @settings(max_examples=300, deadline=None)

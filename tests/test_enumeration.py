@@ -7,8 +7,9 @@ import pytest
 
 from pentaplanar.canon import canonical_form
 from pentaplanar.embeddings import is_triangulation, planar_embed
-from pentaplanar import enumeration, kernels, verification
+from pentaplanar import _purekern, enumeration, kernels, verification
 from pentaplanar.enumeration import (
+    _automorphisms,
     _candidate_splits,
     _code_rotations,
     _expand_batch,
@@ -24,7 +25,8 @@ from pentaplanar.enumeration import (
     flip_graph_triangulations,
     split_vertex,
 )
-from pentaplanar.graphs import Graph, GraphError, parse_graph6, to_graph6
+from pentaplanar.families import build_D
+from pentaplanar.graphs import Graph, GraphError, complete_graph, parse_graph6, to_graph6
 from pentaplanar.verification import verify_monotonicity, verify_theorem
 
 # published class counts of planar triangulations (simplicial polyhedra)
@@ -190,11 +192,6 @@ def _rows_and_degs(rotations):
     return [sum(1 << w for w in r) for r in rotations], [len(r) for r in rotations]
 
 
-def _as_code(rotations):
-    """A flat code of any rotation system, in the format `_expand_batch` reads."""
-    return bytes(x for rot in rotations for x in (len(rot), *rot))
-
-
 @pytest.fixture
 def min_code_calls(monkeypatch):
     """The child rotation systems `_expand_batch` hands to
@@ -206,13 +203,75 @@ def min_code_calls(monkeypatch):
     return calls
 
 
+def _same_cycle(a, b):
+    """Whether the sequences a and b are equal up to a cyclic shift."""
+    a, b = tuple(a), tuple(b)
+    return len(a) == len(b) and any(a[k:] + a[:k] == b for k in range(len(a)))
+
+
+def _reference_automorphisms(rotations):
+    """Aut(P) by full relabelings, with no early abort: from every dart
+    (u, v) in both directions, the map that sends the dart (0, first
+    neighbour of 0) to (u, v) and then each rotation onto its image's,
+    kept when it is a bijection that maps every rotation onto its image's
+    rotation (reversed for the backward direction).  As a set of pairs
+    (sigma, reversed), sigma[k] the image of vertex k."""
+    n = len(rotations)
+    found = set()
+    for u, rot_u in enumerate(rotations):
+        for v in rot_u:
+            for rev in (False, True):
+                sigma = {0: u}
+                anchor = {0: (rotations[0][0], v)}
+                queue = [0]
+                for x in queue:
+                    rx, ry = rotations[x], rotations[sigma[x]]
+                    if len(rx) != len(ry):
+                        break
+                    a, b = anchor[x]
+                    i, j, d = rx.index(a), ry.index(b), len(rx)
+                    for k in range(d):
+                        w, z = rx[(i + k) % d], ry[(j - k if rev else j + k) % d]
+                        if w not in sigma:
+                            sigma[w] = z
+                            anchor[w] = (x, sigma[x])
+                            queue.append(w)
+                else:
+                    image = tuple(sigma[k] for k in range(n))
+                    if sorted(image) == list(range(n)) and all(
+                        _same_cycle([image[w] for w in rot],
+                                    rotations[image[k]][::-1] if rev else rotations[image[k]])
+                        for k, rot in enumerate(rotations)
+                    ):
+                        found.add((image, rev))
+    return found
+
+
+def _split_image(sigma, rotations, v, i, j):
+    """The split (v', i', j'), i' < j', that the automorphism sigma maps
+    the split of v at i < j onto."""
+    rot_v, image = rotations[v], rotations[sigma[v]]
+    p, q = sorted((image.index(sigma[rot_v[i]]), image.index(sigma[rot_v[j]])))
+    return sigma[v], p, q
+
+
+def _code(rotations):
+    return _purekern.embedding_min_code(rotations, len(rotations))
+
+
 def _assert_filter_matches_reference(rotations, calls):
-    """Every split of one parent: the exact filter agrees with the reference,
-    the threshold skips none that the reference keeps, and exactly the
-    reference's children reach `embedding_min_code`.  Returns the numbers of
-    splits, threshold survivors and kept children."""
+    """Every split of one parent, relabeled canonically: the exact filter
+    agrees with the reference, the threshold skips none that the reference
+    keeps, the finder gives the reference's Aut(P), and the children that
+    reach `embedding_min_code` are exactly those of the splits the
+    reference keeps that are least in their Aut(P)-orbit.  Returns the
+    numbers of splits, threshold survivors and kernel calls."""
+    code = _code(rotations)
+    rotations = _code_rotations(code)
     rows, degs = _rows_and_degs(rotations)
     candidates = set(_candidate_splits(rotations, rows, degs))
+    auts = _reference_automorphisms(rotations)
+    assert {(tuple(sigma), rev) for sigma, rev in _automorphisms(rotations, code)} == auts
     kept = []
     total = 0
     for v, i, j in _splits(rotations):
@@ -221,10 +280,11 @@ def _assert_filter_matches_reference(rotations, calls):
         assert _new_edge_is_minimal(rows, degs, v, rotations[v], i, j) == keep
         assert (v, i, j) in candidates or not keep
         total += 1
-        if keep:
+        if keep and all(_split_image(sigma, rotations, v, i, j) >= (v, i, j)
+                        for sigma, _ in auts):
             kept.append(child)
     calls.clear()
-    _expand_batch([_as_code(rotations)])
+    _expand_batch([code])
     assert sorted(calls) == sorted(kept)
     return total, len(candidates), len(kept)
 
@@ -238,10 +298,18 @@ def test_child_filter_matches_reference_and_rejects_most_children(min_code_calls
         kept_per_level.append(kept)
     assert total == 23857  # the n = 10 level
     assert kept < 0.2 * total
-    # children kept for n = 5..11; the key's apex degrees are the child's,
+    # kernel calls for n = 5..11: one per Aut(P)-orbit of the splits whose
+    # new edge has the least key; the key's apex degrees are the child's,
     # and a filter that reads them off the parent keeps more yet still
     # finds every class
-    assert kept_per_level == [12, 9, 46, 67, 161, 509, 2128]
+    assert kept_per_level == [1, 2, 5, 14, 54, 257, 1429]
+
+
+def test_orbit_pruning_codes_8751_children_of_the_n_11_level(min_code_calls):
+    # 7 595 classes plus 1 156 key ties between different orbits of the new
+    # edge; without the pruning 10 545
+    _expand_batch(corpus_codes(11))
+    assert len(min_code_calls) == 8751
 
 
 def test_threshold_skips_two_thirds_of_the_splits():
@@ -352,6 +420,30 @@ def test_contractibility_is_needed_by_the_child_filter():
         assert (v, i, j) in candidates
         assert _new_edge_is_minimal(prows, pdegs, v, rotations[v], i, j)
         assert _new_edge_is_minimal_reference(split_vertex(rotations, v, i, j), v)
+
+
+@pytest.mark.parametrize("graph, order", [
+    (complete_graph(4), 24),
+    (Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6) if b != a ^ 1]), 48),
+    (Graph(12, _icosahedron(range(12))), 120),
+    (build_D(7), 20),
+    (build_D(8), 24),
+    (parse_graph6("H~[wwSN"), 1),  # the first n = 9 class with no symmetry
+], ids=["K4", "octahedron", "icosahedron", "D_7", "D_8", "rigid_n9"])
+def test_automorphism_finder_gives_the_group(graph, order):
+    # the finder lists `order` distinct automorphisms, the reference's, and
+    # each maps every rotation onto its image's rotation, reversed when its
+    # relabeling ran backwards
+    rotations = _code_rotations(_code(planar_embed(graph).rotations))
+    auts = _automorphisms(rotations, _code(rotations))
+    found = {(tuple(sigma), rev) for sigma, rev in auts}
+    assert len(auts) == len(found) == order
+    assert found == _reference_automorphisms(rotations)
+    for sigma, rev in auts:
+        assert sorted(sigma) == list(range(len(rotations)))
+        for k, rot in enumerate(rotations):
+            target = rotations[sigma[k]]
+            assert _same_cycle([sigma[w] for w in rot], target[::-1] if rev else target)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
