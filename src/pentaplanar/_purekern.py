@@ -107,12 +107,27 @@ def edge_profile(
 
       c5(uv) = A4'(u, v) - a3(u) - a3(v) + 5t - sum_{w in N(u) & N(v)} d(w),
 
-    which the loop below evaluates.
+    which the loop below evaluates.  The neighbour lists and a3 are built
+    with plain loops, without a generator per row or per vertex: on the
+    small graphs of a query stream their set-up cost is a visible share of
+    the call.
     """
-    nbrs = [list(_bits(r)) for r in rows]
+    nbrs: list[list[int]] = []
+    for r in rows:
+        nu = []
+        while r:
+            low = r & -r
+            nu.append(low.bit_length() - 1)
+            r ^= low
+        nbrs.append(nu)
     deg = [len(nu) for nu in nbrs]
     planes = _codegree_planes(rows, nbrs)
-    a3 = [sum((p & rows[u]).bit_count() << i for i, p in planes[u]) for u in range(n)]
+    a3: list[int] = []
+    for ru, pu in zip(rows, planes):
+        a = 0
+        for i, p in pu:
+            a += (p & ru).bit_count() << i
+        a3.append(a)
     t3: list[int] = []
     p3: list[int] = []
     c5: list[int] = []

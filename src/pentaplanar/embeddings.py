@@ -21,11 +21,18 @@ did not fit F cannot fit k, whose only vertices outside F are the path's
 inner ones, and those touched no fragment but the embedded bridge.  The new
 fragments, that bridge's remaining edges to H and its sub-bridges, each
 attach at an inner path vertex (its interior was connected), which lies on
-F and k only.  A step scans chords, then bridges, stops at the first
-fragment with no face (not planar) or one face (forced), else takes the
-first with the fewest faces, and uses its lowest face.  The lists match a
-rebuild from scratch in content and order, so every choice, hence the
-rotations and the NotPlanar reasons, depends only on the input graph.
+F and k only.  A step makes one scan over chords, then bridges, that
+both retests and chooses: the choice stops at the first fragment with no
+face (not planar) or one face (forced), else takes the first with the
+fewest faces, while the retest runs on to the end of the lists; the step
+uses the chosen fragment's lowest face.  A chord's walk is its edge, whose
+ends give its mask, so it adds no vertex and no new fragment; a bridge's
+walk is a shortest path through its interior.  The lists match a rebuild
+from scratch in content and order, so every choice, hence the rotations
+and the NotPlanar reasons, depends only on the input graph.
+
+An Embedding traces its facial walks once, on first use, for both
+`is_spherical` (which `planar_embed` asserts) and `faces`.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
 from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits, _flood, _mask
@@ -85,7 +91,12 @@ class Embedding:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
-        return tuple(Face(tuple(walk)) for walk in self._walks())
+        return tuple(Face(tuple(walk)) for walk in self._traced)
+
+    @cached_property
+    def _traced(self) -> list[list[int]]:
+        """The facial walks, traced once for `faces` and `is_spherical`."""
+        return list(self._walks())
 
     def _walks(self) -> Iterator[list[int]]:
         """The facial walks, each from its first dart in vertex order."""
@@ -105,7 +116,7 @@ class Embedding:
     def is_spherical(self) -> bool:
         """Euler check n - m + f = 2, applied to every connected component."""
         rows = self.graph.bitrows
-        starts = [walk[0] for walk in self._walks()]
+        starts = [walk[0] for walk in self._traced]
         rest = (1 << self.graph.n) - 1
         while rest:
             comp = _flood(rows, rest & -rest, rest)
@@ -159,44 +170,55 @@ def planar_embed(g: Graph) -> Embedding | NotPlanar:
 
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    disc, low, tick = [-1] * g.n, [0] * g.n, count()
+    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan).
+
+    A frame is [v, parent, index of the next neighbour to try]; a block is
+    the edge stack down to its tree edge, in pop order."""
+    nbrs = g.neighbors
+    disc, low, tick = [-1] * g.n, [0] * g.n, 0
+    # where each tree edge (parent, v) sits on the edge stack
+    tree_at = [0] * g.n
     edge_stack: list[tuple[int, int]] = []
     blocks: list[list[tuple[int, int]]] = []
     for root in range(g.n):
         if disc[root] >= 0:
             continue
-        disc[root] = low[root] = next(tick)
-        dfs = [(root, -1, iter(g.neighbors[root]))]
+        disc[root] = low[root] = tick
+        tick += 1
+        dfs = [[root, -1, 0]]
         while dfs:
-            v, parent, it = dfs[-1]
-            pushed = False
-            for w in it:
+            frame = dfs[-1]
+            v, parent, start = frame
+            nv, dv = nbrs[v], disc[v]
+            for i in range(start, len(nv)):
+                w = nv[i]
                 if w == parent:
                     continue
-                if disc[w] < 0:
+                dw = disc[w]
+                if dw < 0:
+                    frame[2] = i + 1
+                    tree_at[w] = len(edge_stack)
                     edge_stack.append((v, w))
-                    disc[w] = low[w] = next(tick)
-                    dfs.append((w, v, iter(g.neighbors[w])))
-                    pushed = True
+                    disc[w] = low[w] = tick
+                    tick += 1
+                    dfs.append([w, v, 0])
                     break
-                if disc[w] < disc[v]:
+                if dw < dv:
                     edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if pushed:
-                continue
-            dfs.pop()
-            if dfs:
-                u = dfs[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = []
-                    while True:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == (u, v):
-                            break
-                    blocks.append(block)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                dfs.pop()
+                if dfs:
+                    u, lv = dfs[-1][0], low[v]
+                    if lv < low[u]:
+                        low[u] = lv
+                    if lv >= disc[u]:
+                        at = tree_at[v]
+                        block = edge_stack[at:]
+                        del edge_stack[at:]
+                        block.reverse()
+                        blocks.append(block)
     return blocks
 
 
@@ -212,62 +234,102 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
     h_mask = _mask(cycle)
     face_masks = [h_mask, h_mask]
     # records [key, attachments, interior, face mask]; the cycle enters as a
-    # walk that split face 0 into faces 0 and 1, all of it new to H
+    # walk that split face 0 into faces 0 and 1, all of it new to H; `inner`
+    # masks the last walk's inner vertices, the only ones new fragments touch
     chords: list[list] = []
     bridges: list[list] = []
     face, walk, inside = 0, [cycle[-1], *cycle, cycle[0]], _mask(adj) & ~h_mask
+    inner = h_mask
     while True:
-        # new fragments: edges from the walk's inner vertices to H, sub-bridges
-        inner = _mask(walk[1:-1])
-        for i in range(1, len(walk) - 1):
-            x = walk[i]
-            for y in _bits(adj[x] & h_mask & ~(1 << walk[i - 1] | 1 << walk[i + 1])):
-                if not (inner >> y & 1 and y < x):
-                    e = (x, y) if x < y else (y, x)
-                    insort(chords, [e, 1 << x | 1 << y, 0, 1 << face])
-        for frag in _bridges(adj, inside, h_mask, 1 << face):
-            insort(bridges, frag)
-        # the split face and the new face k are the only faces that changed
-        k = len(faces) - 1
-        fm, fk = face_masks[face], face_masks[k]
-        for frag in chords + bridges:
-            adm = frag[3]
-            if adm >> face & 1:
-                att = frag[1]
-                frag[3] = (adm ^ 1 << face | (not att & ~fm) << face
-                           | (not att & ~fk) << k)
+        if inner:
+            # new fragments: edges from the walk's inner vertices to H other
+            # than walk edges (one record per edge), and the sub-bridges
+            fits = 1 << face
+            for i in range(1, len(walk) - 1):
+                x = walk[i]
+                ys = adj[x] & h_mask & ~(1 << walk[i - 1] | 1 << walk[i + 1]
+                                         | inner & (1 << x) - 1)
+                while ys:
+                    low = ys & -ys
+                    ys ^= low
+                    y = low.bit_length() - 1
+                    insort(chords, [[x, y] if x < y else [y, x], 1 << x | low, 0, fits])
+            while inside:
+                # one flood gathers a component and its neighbourhood
+                low = inside & -inside
+                comp = frontier = reach = low
+                while frontier:
+                    grow = 0
+                    while frontier:
+                        w = frontier & -frontier
+                        grow |= adj[w.bit_length() - 1]
+                        frontier ^= w
+                    reach |= grow
+                    frontier = grow & inside & ~comp
+                    comp |= frontier
+                inside ^= comp
+                insort(bridges, [low.bit_length() - 1, reach & h_mask, comp, fits])
         if not (chords or bridges):
             break
 
-        chosen: list | None = None
-        for frag in chords + bridges:
-            adm = frag[3]
-            if not adm:
-                return NotPlanar(
-                    f"fragment attached at {list(_bits(frag[1]))} fits no face"
-                )
-            if chosen is None or adm.bit_count() < chosen[3].bit_count():
-                chosen = frag
-                if adm & (adm - 1) == 0:
-                    # forced placement; no better choice can exist
-                    break
-        assert chosen is not None
-        _, att, interior, adm = chosen
+        # one scan retests the fragments that fitted the split face against
+        # it and the new face k (the only faces that changed) and makes the
+        # choice: stop choosing at a fragment with no face or one face, else
+        # keep the first with the fewest
+        k = len(faces) - 1
+        fm, fk, bit = face_masks[face], face_masks[k], 1 << face
+        chosen: list = []
+        least = len(faces) + 1
+        for frags in (chords, bridges):
+            for frag in frags:
+                adm = frag[3]
+                if adm & bit:
+                    att = frag[1]
+                    adm = adm ^ bit | (not att & ~fm) << face | (not att & ~fk) << k
+                    frag[3] = adm
+                if least > 1:
+                    c = adm.bit_count()
+                    if c < least:
+                        if not c:
+                            return NotPlanar(
+                                f"fragment attached at {list(_bits(frag[1]))} fits no face"
+                            )
+                        chosen, least = frag, c
+        key, att, interior, adm = chosen
         face = (adm & -adm).bit_length() - 1
-        (bridges if interior else chords).remove(chosen)
-        walk = _alpha_path(adj, att, interior)
-        _insert_path(faces, face, walk)
-        # faces are cycles: the old face and the new one share only a and b
-        walk_mask = _mask(walk)
-        face_masks.append(_mask(faces[-1]))
-        face_masks[face] = face_masks[face] & ~face_masks[-1] | walk_mask
-        h_mask |= walk_mask
+        if interior:
+            bridges.remove(chosen)
+            walk = _alpha_path(adj, att, interior)
+        else:
+            # a chord's walk is its edge: it adds no vertex, hence no fragment
+            chords.remove(chosen)
+            walk = key
+        a, b = walk[0], walk[-1]
+        inner = _mask(walk[1:-1])
+        # split the directed face by the path: it keeps the segment from a
+        # to b, and the new face the segment from b to a
+        f = faces[face]
+        i, j = f.index(a), f.index(b)
+        if i < j:
+            seg_ab, seg_ba = f[i : j + 1], f[j:] + f[: i + 1]
+        else:
+            seg_ab, seg_ba = f[i:] + f[: j + 1], f[j : i + 1]
+        faces[face] = seg_ab + walk[-2:0:-1]
+        faces.append(seg_ba + walk[1:-1])
+        # faces are cycles: the two segments share only a and b
+        ba = _mask(seg_ba)
+        face_masks[face] = face_masks[face] & ~ba | 1 << a | 1 << b | inner
+        face_masks.append(ba | inner)
+        h_mask |= inner
         inside = interior & ~h_mask
 
+    # each face gives every vertex on it one successor entry
     succ: dict[int, dict[int, int]] = {v: {} for v in adj}
     for f in faces:
-        for u, v, w in zip(f, f[1:] + f[:1], f[2:] + f[:2]):
+        u, v = f[-2], f[-1]
+        for w in f:
             succ[v][u] = w
+            u, v = v, w
     rotations: dict[int, list[int]] = {}
     for v, nxt in succ.items():
         cyc = [next(iter(nxt))]
@@ -277,27 +339,6 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
             raise AssertionError("face structure does not close into a rotation")
         rotations[v] = cyc
     return rotations
-
-
-def _bridges(
-    adj: dict[int, int], outside: int, h_mask: int, fits: int
-) -> Iterator[list]:
-    """Bridge records for the components of `outside` (vertices off H) by
-    least vertex; one flood gathers a component and its neighbourhood."""
-    while outside:
-        low = outside & -outside
-        comp = frontier = reach = low
-        while frontier:
-            grow = 0
-            while frontier:
-                w = frontier & -frontier
-                grow |= adj[w.bit_length() - 1]
-                frontier ^= w
-            reach |= grow
-            frontier = grow & outside & ~comp
-            comp |= frontier
-        outside ^= comp
-        yield [low.bit_length() - 1, reach & h_mask, comp, fits]
 
 
 def _find_cycle(adj: dict[int, int]) -> list[int]:
@@ -330,15 +371,17 @@ def _find_cycle(adj: dict[int, int]) -> list[int]:
 
 
 def _alpha_path(adj: dict[int, int], att: int, interior: int) -> list[int]:
-    """A path between two distinct attachments through the fragment interior
-    (the chord itself when the interior is empty), breadth-first from the
-    least attachment."""
-    if not interior:
-        return list(_bits(att))
+    """A path between two distinct attachments through the (nonempty)
+    interior of a bridge, breadth-first from the least attachment."""
     a = (att & -att).bit_length() - 1
     others = att ^ 1 << a
     seen = adj[a] & interior
-    queue = list(_bits(seen))
+    queue = []
+    rest = seen
+    while rest:
+        low = rest & -rest
+        queue.append(low.bit_length() - 1)
+        rest ^= low
     parent = dict.fromkeys(queue, -1)
     for x in queue:
         hit = adj[x] & others
@@ -349,26 +392,13 @@ def _alpha_path(adj: dict[int, int], att: int, interior: int) -> list[int]:
             return [a, *reversed(rev), (hit & -hit).bit_length() - 1]
         new = adj[x] & interior & ~seen
         seen |= new
-        for b in _bits(new):
+        while new:
+            low = new & -new
+            b = low.bit_length() - 1
             parent[b] = x
             queue.append(b)
+            new ^= low
     raise AssertionError("fragment with a single attachment inside a biconnected block")
-
-
-def _insert_path(faces: list[list[int]], face_idx: int, path: list[int]) -> None:
-    """Split the directed face by the path; both orientations stay consistent."""
-    face = faces[face_idx]
-    a, b = path[0], path[-1]
-    i, j = face.index(a), face.index(b)
-    if i < j:
-        seg_ab = face[i : j + 1]
-        seg_ba = face[j:] + face[: i + 1]
-    else:
-        seg_ab = face[i:] + face[: j + 1]
-        seg_ba = face[j : i + 1]
-    interior = path[1:-1]
-    faces[face_idx] = seg_ab + list(reversed(interior))
-    faces.append(seg_ba + list(interior))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +424,9 @@ def neighborhood_cycle(e: Embedding, v: int) -> tuple[int, ...] | None:
     rotation neighbors must be adjacent; a violation means the embedding is
     corrupt and raises.
     """
+    e.graph._check_vertex(v)
     if not is_triangulation(e):
         return None
-    e.graph._check_vertex(v)
     rot = e.rotations[v]
     for i, a in enumerate(rot):
         b = rot[(i + 1) % len(rot)]

@@ -267,6 +267,9 @@ def _graph6(n: int, rows: Sequence[int]) -> str:
 
 # adds the graph6 offset 63 to every 6-bit value of a body
 _G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
+# the graph6 bytes 63..126, and each one's six bits, most significant first
+_G6_BYTES = bytes(range(63, 127))
+_G6_SIXBITS = [format(b, "06b") for b in range(64)]
 
 
 def _graph6_text(n: int, body: bytearray) -> str:
@@ -276,7 +279,11 @@ def _graph6_text(n: int, body: bytearray) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 string (optional >>graph6<< header allowed)."""
+    """Decode a graph6 string (optional >>graph6<< header allowed).
+
+    One `bytes.translate` finds any byte outside 63..126; the body's six-bit
+    groups come from a 64-entry table of bit strings, read as one integer
+    from which each column is shifted off in turn."""
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER) :].strip()
@@ -286,7 +293,7 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise GraphError(f"non-ASCII character in graph6 string {s!r}") from None
-    if any(b < 63 or b > 126 for b in data):
+    if data.translate(None, _G6_BYTES):
         raise GraphError(f"invalid graph6 byte in {s!r}")
     n, pos = _decode_g6_size(data)
     need = (n * (n - 1) // 2 + 5) // 6
@@ -294,17 +301,21 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError(
             f"graph6 body length {len(data) - pos} != expected {need} for n={n}"
         )
-    # column v holds bits 0..v-1 of row v, least vertex first (see _graph6)
-    bits = "".join(format(byte - 63, "06b") for byte in data[pos:])
+    # column v holds bits 0..v-1 of row v, least vertex first (see _graph6):
+    # with the body read as one integer whose bit p is body bit p, column v
+    # is the v bits from v(v-1)/2 up
+    bits = "".join([_G6_SIXBITS[byte - 63] for byte in data[pos:]])
+    body = int(bits[::-1], 2) if bits else 0
     rows = [0] * n
-    start = 0
     for v in range(1, n):
-        column = int(bits[start : start + v][::-1], 2)
-        start += v
+        column = body & ~(-1 << v)
+        body >>= v
         rows[v] = column
         bit_v = 1 << v
-        for u in _bits(column):
-            rows[u] |= bit_v
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= bit_v
+            column ^= low
     return Graph._from_rows(n, rows)
 
 

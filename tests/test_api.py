@@ -4,7 +4,7 @@ from pentaplanar import embeddings, enumeration, families, graphs, kernels, veri
 # helpers that had no production caller and no oracle role; removed
 DELETED = {
     graphs: ("complete_bipartite", "contract_edge", "degree"),
-    embeddings: ("is_planar", "parse_rotations"),
+    embeddings: ("is_planar", "parse_rotations", "_bridges", "_insert_path"),
     enumeration: ("canonical_code",),
     families: ("FAMILY_NAMES",),
     kernels: ("backends", "compiled_available"),

@@ -1,6 +1,7 @@
+import hashlib
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,6 @@ from pentaplanar.embeddings import (
     EmbeddingError,
     NotPlanar,
     Face,
-    _biconnected_blocks,
-    _insert_path,
     is_triangulation,
     neighborhood_cycle,
     planar_embed,
@@ -21,6 +20,7 @@ from pentaplanar.enumeration import corpus
 from pentaplanar.families import build_D, build_E
 from pentaplanar.graphs import (
     Graph,
+    GraphError,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -94,6 +94,26 @@ def test_neighborhood_cycle_examples():
     assert len(neighborhood_cycle(octa, 0)) == 4
     # Absent on non-triangulations
     assert neighborhood_cycle(planar_embed(cycle_graph(5)), 0) is None
+    # an out-of-range vertex raises whether or not e is a triangulation
+    for g in (complete_graph(4), cycle_graph(5)):
+        with pytest.raises(GraphError):
+            neighborhood_cycle(planar_embed(g), 99)
+
+
+def test_facial_walks_traced_once(monkeypatch):
+    # planar_embed's Euler check and is_triangulation's faces share one trace
+    traces = []
+    walks = Embedding._walks
+
+    def counted(self):
+        traces.append(self)
+        return walks(self)
+
+    monkeypatch.setattr(Embedding, "_walks", counted)
+    e = planar_embed(build_D(9))
+    assert is_triangulation(e)
+    assert len(e.faces) == 2 * 9 - 4
+    assert traces == [e]
 
 
 def test_triangular_faces_examples():
@@ -165,8 +185,68 @@ def test_deterministic_embedding():
 # Reference embedder: the set-based fragment route, kept as an oracle for the
 # bitmask bookkeeping in `embeddings._embed_block`.  It rebuilds the fragment
 # list from scratch on every path addition and tests admissibility by set
-# containment; every choice must come out the same.
+# containment; every choice must come out the same.  Its block decomposition
+# and face split are its own copies, so that a rewrite of the production
+# helpers cannot move the oracle along with the route it checks.
 # ---------------------------------------------------------------------------
+
+
+def _ref_biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
+    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
+    disc, low, tick = [-1] * g.n, [0] * g.n, count()
+    edge_stack: list[tuple[int, int]] = []
+    blocks: list[list[tuple[int, int]]] = []
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = next(tick)
+        dfs = [(root, -1, iter(g.neighbors[root]))]
+        while dfs:
+            v, parent, it = dfs[-1]
+            pushed = False
+            for w in it:
+                if w == parent:
+                    continue
+                if disc[w] < 0:
+                    edge_stack.append((v, w))
+                    disc[w] = low[w] = next(tick)
+                    dfs.append((w, v, iter(g.neighbors[w])))
+                    pushed = True
+                    break
+                if disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if pushed:
+                continue
+            dfs.pop()
+            if dfs:
+                u = dfs[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = []
+                    while True:
+                        e = edge_stack.pop()
+                        block.append(e)
+                        if e == (u, v):
+                            break
+                    blocks.append(block)
+    return blocks
+
+
+def _ref_insert_path(faces: list[list[int]], face_idx: int, path: list[int]) -> None:
+    """Split the directed face by the path; both orientations stay consistent."""
+    face = faces[face_idx]
+    a, b = path[0], path[-1]
+    i, j = face.index(a), face.index(b)
+    if i < j:
+        seg_ab = face[i : j + 1]
+        seg_ba = face[j:] + face[: i + 1]
+    else:
+        seg_ab = face[i:] + face[: j + 1]
+        seg_ba = face[j : i + 1]
+    interior = path[1:-1]
+    faces[face_idx] = seg_ab + list(reversed(interior))
+    faces.append(seg_ba + list(interior))
 
 
 @dataclass
@@ -281,7 +361,7 @@ def _ref_embed_block(block_edges):
                     break
         _, frag, face = chosen
         path = _ref_alpha_path(adj, frag)
-        _insert_path(faces, face, path)
+        _ref_insert_path(faces, face, path)
         h_vertices.update(path)
         for i in range(len(path) - 1):
             h_edges.add(frozenset((path[i], path[i + 1])))
@@ -306,7 +386,7 @@ def _ref_planar_embed(g):
     if n >= 3 and g.m > 3 * n - 6:
         return f"m={g.m} exceeds the planar bound 3n-6={3 * n - 6}"
     rotations = [[] for _ in range(n)]
-    for block in _biconnected_blocks(g):
+    for block in _ref_biconnected_blocks(g):
         if len(block) == 1:
             (u, v), = block
             rotations[u].append(v)
@@ -415,9 +495,17 @@ def test_embedder_matches_reference_route():
     variants = _triangulation_variants(40, seed=5)
     gnp = _gnp_graphs(400, seed=11)
     query = _query_shaped(60, seed=13)
+    digest = hashlib.sha256()
     for graphs in (corpus_graphs, families, variants, gnp, query):
         for g in graphs:
-            assert _embed_outcome(g) == _ref_planar_embed(g), g.edges()
+            outcome = _embed_outcome(g)
+            assert outcome == _ref_planar_embed(g), g.edges()
+            digest.update((repr(outcome) + "\n").encode())
+    # the outcomes of the 1 017 graphs themselves, so that a change to the
+    # oracle and the embedder alike cannot pass unseen
+    assert digest.hexdigest() == (
+        "dddf0a50cc4ec10c410f0c7fd39615c1a27962ead5fa83594e13731800872e6e"
+    )
     # both outcomes, and the fragment-level rejection, are reached
     reasons = [_embed_outcome(g) for g in variants + gnp]
     assert any("fits no face" in r for r in reasons if isinstance(r, str))

@@ -53,6 +53,8 @@ def test_malformed_inputs():
         parse_graph6("C~~")  # body longer than n=4 needs
     with pytest.raises(GraphError):
         parse_graph6("C")  # body truncated
+    with pytest.raises(GraphError, match="invalid graph6 byte"):
+        parse_graph6("C!")  # a body byte below 63
 
 
 @given(graphs(max_n=12))

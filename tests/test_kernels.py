@@ -19,6 +19,7 @@ from pentaplanar.families import build_D, build_E
 from pentaplanar.graphs import Graph, complete_graph
 
 from .conftest import graphs
+from .test_embeddings import _query_shaped
 
 needs_compiled = pytest.mark.skipif(
     kernels._fastkern is None, reason="compiled kernel not built"
@@ -339,6 +340,10 @@ def test_closed_forms_match_loop_on_random_graphs():
         n = rng.randint(0, min(80, int(20 * p ** -0.75)))
         pairs = combinations(range(n), 2)
         _assert_closed_forms(Graph(n, [e for e in pairs if rng.random() < p]))
+    # irregular near-triangulations with n = 30..60, shaped like the query
+    # stream, and D_n, E_n under random relabelings
+    for g in _query_shaped(20, seed=13):
+        _assert_closed_forms(g)
 
 
 def test_closed_forms_match_loop_on_tiny_and_complete_graphs():
