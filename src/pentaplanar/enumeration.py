@@ -127,7 +127,7 @@ from ._purekern import _bfs_code
 from .canon import canonical_form
 from .embeddings import Embedding, is_triangulation, planar_embed
 from .families import build_D
-from .graphs import Graph, GraphError, _bits, _graph6_text, complete_graph, parse_graph6
+from .graphs import Graph, GraphError, _graph6_text, complete_graph, parse_graph6
 
 SCHEMA_VERSION = 1
 
@@ -181,7 +181,13 @@ def _code_rotations(code: bytes) -> tuple[tuple[int, ...], ...]:
 
 def _rows(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
     """Adjacency bit rows of a rotation system."""
-    return [sum(1 << w for w in rot) for rot in rotations]
+    rows = []
+    for rot in rotations:
+        row = 0
+        for w in rot:
+            row |= 1 << w
+        rows.append(row)
+    return rows
 
 
 def code_to_embedding(code: bytes) -> Embedding:
@@ -244,8 +250,11 @@ def _new_edge_is_minimal(
     crows[v] = keep | bit_new
     crows[wi] |= bit_new
     crows[wj] |= bit_new
-    for w in _bits(inner):
-        crows[w] ^= bit_v | bit_new
+    rest = inner
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        crows[low.bit_length() - 1] ^= bit_v | bit_new
     d = len(rot_v)
     dv, dn = j - i + 2, d - j + i + 2
     cdegs = degs + [dn]
@@ -258,8 +267,11 @@ def _new_edge_is_minimal(
     for x, dx in enumerate(cdegs):
         if dx > a:
             continue
-        rx = crows[x]
-        for y in _bits(rx):
+        rx = rest = crows[x]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            y = bit.bit_length() - 1
             dy = cdegs[y]
             lo, hi = (dx, dy) if dx <= dy else (dy, dx)
             if lo > a or (lo == a and hi > b):

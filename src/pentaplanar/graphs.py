@@ -8,6 +8,15 @@ them into 64-bit words when n <= 64.
 
 Graphs are values: a derived graph (induced subgraph, relabeling) is a fresh
 object; an induced subgraph also returns its relabeling map.
+
+Masks are walked inline, lowest bit first (`mask & -mask`), with no
+generator per row or per step: `Graph` lists each row's neighbour tuple in
+one such walk, and `_flood` grows its frontier the same way.  Rows given
+as masks (`Graph._from_rows`, behind `parse_graph6` and the enumeration's
+code decoder) get one pass for the row count, the range and loops, and
+then have their symmetry checked inside the neighbour walk, so the first
+pair that breaks it, rows in order and lowest neighbour first, is the one
+reported.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ class Graph:
     def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
         """The graph on 0..n-1 with adjacency bit rows `rows`, checked on the
         masks: one row per vertex, each within 0..n-1, with no loop, and
-        symmetric."""
+        symmetric (checked in the walk that lists the neighbours)."""
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
         for v, row in enumerate(rows):
@@ -53,20 +62,28 @@ class Graph:
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
         g = cls.__new__(cls)
-        g._set_rows(rows)
-        for v, nbrs in enumerate(g.neighbors):
-            bit_v = 1 << v
-            for u in nbrs:
-                if not rows[u] & bit_v:
-                    raise GraphError(f"asymmetric rows: {u} in row {v}, {v} not in row {u}")
+        g._set_rows(rows, check=True)
         return g
 
-    def _set_rows(self, rows: Sequence[int]) -> None:
+    def _set_rows(self, rows: Sequence[int], check: bool = False) -> None:
+        """Store `rows` and list each row's neighbours in one walk over its
+        bits, lowest first.  With `check`, the walk also raises on the first
+        u in row v, rows in order, whose row u lacks v."""
+        neighbors = []
+        for v, row in enumerate(rows):
+            bit_v = 1 << v
+            nbrs = []
+            while row:
+                low = row & -row
+                row ^= low
+                u = low.bit_length() - 1
+                if check and not rows[u] & bit_v:
+                    raise GraphError(f"asymmetric rows: {u} in row {v}, {v} not in row {u}")
+                nbrs.append(u)
+            neighbors.append(tuple(nbrs))
         self.n = len(rows)
         self.bitrows: tuple[int, ...] = tuple(rows)
-        self.neighbors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(_bits(row)) for row in rows
-        )
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(neighbors)
         self._hash: int | None = None
 
     @property
@@ -134,8 +151,10 @@ def _flood(rows: tuple[int, ...], seed: int, within: int) -> int:
     reached = frontier = seed
     while frontier:
         grow = 0
-        for w in _bits(frontier):
-            grow |= rows[w]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grow |= rows[low.bit_length() - 1]
         frontier = grow & within & ~reached
         reached |= frontier
     return reached

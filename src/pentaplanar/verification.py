@@ -8,16 +8,21 @@ two recorded sub-results: edge addition never decreases the pentagon count
 strictly below the maximum (`second_best` in the certificate).
 
 Each class is checked once, by `_check`: its adjacency rows are built
-once, Lemma 1 and Remark 4 read them, and Lemmas 2 and 3 share one
-`paths3_per_edge` pass; when `_check_chunk` also counts pentagons, it
-takes the path and pentagon counts from one `kernels.edge_profile` pass.  No face is traced or
-cached: the facial triangles are read off the rotation system
-(`_triangles`).  Lemma 1 floods a common neighbourhood only when it has
-three or more vertices; with at most two it always holds (`_lemma1_note`
-gives the four cases).  Each sweep records a graph in one
-`LemmaStats.add`: its item count, its slacks, and a note for each
-violated item alone, in item order, so the stats are those of one
-`LemmaStats.record` per item while no item that holds gets a note.
+once, and Lemmas 2 and 3 share one `paths3_per_edge` pass; when
+`_check_chunk` also counts pentagons, it takes the path and pentagon
+counts from one `kernels.edge_profile` pass.  Then one walk over the
+edges lists them, tests Lemma 1 and copies the path counts into a flat
+n x n table, and one walk over the darts fills the flat predecessor table
+of the rotations, from which it reads the facial triangles in the order
+of `_triangles` (no face is traced or cached), each face's Lemma 3 count,
+and Remark 4's rotation gaps.  Lemma 1 looks at a common neighbourhood
+only when it has three or more vertices; with at most two it always holds
+(`_lemma1_note` gives the four cases).  `_path_forest_shape` then takes
+one degree pass and one flood from the forest's endpoints.  Each sweep
+records a graph in one `LemmaStats.add`: its item count, its slack range,
+and a note for each violated item alone, in item order, so the stats are
+those of one `LemmaStats.record` per item while no item that holds gets a
+note.
 
 Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
@@ -42,6 +47,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import islice
+from operator import itemgetter
 
 from . import kernels
 from .canon import canonical_form
@@ -49,7 +55,7 @@ from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
 from .enumeration import MAX_N, _code_rotations, _rows, code_to_embedding, corpus_codes
 from .families import FamilySpec, build_A, build_D, expected_c5
-from .graphs import Graph, _bits, _flood
+from .graphs import Graph, _flood
 
 SCHEMA_VERSION = 1
 
@@ -254,37 +260,85 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
     remark4) its rotation system, into every sweep named in `stats`.
 
     `p3` is the graph's `paths3_per_edge` list, counted here when not
-    given.  Each sweep records the graph in one `LemmaStats.add`: Lemma 2
-    takes its slack range off the least and greatest path count, Lemma 3
-    keeps one slack per face, and only violated items get a note."""
-    edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
-    if "lemma1" in stats:
-        notes = (_lemma1_note(rows, n, u, v) for u, v in edges
-                 if (rows[u] & rows[v]).bit_count() > 2)
-        stats["lemma1"].add(len(edges), notes=[note for note in notes if note])
-    if p3 is None and ("lemma2" in stats or "lemma3" in stats):
+    given.  One edge walk, in edge order (p3's), lists the edges, asks
+    `_lemma1_note` about each edge with three or more common neighbours,
+    and copies p3 into a flat n x n table, both orientations of each edge,
+    for Lemma 3; Lemma 2 takes its slack range off min(p3) and max(p3).
+    One dart walk over the rotations, vertices descending, fills the flat
+    table pred, where pred[v * n + w] is the neighbour before w around v.
+    Each dart (v, w) with x = pred_v(w) is read when pred of every vertex
+    above v is in, so it finds the triangle (v, w, x) at its least vertex
+    v, the test of `_triangles`, and Remark 4's gap when x and w are not
+    adjacent.  Lemma 3 keeps its slack range as a running min/max.  Each
+    sweep records the graph in one `LemmaStats.add`, and only violated
+    items get a note, put back in item order (vertices ascending)."""
+    # None for each sweep that `stats` does not name
+    lemma1, lemma2, lemma3, remark4 = map(stats.get, _LEMMAS)
+    if n < 4:
+        lemma3 = None
+    if p3 is None and (lemma2 or lemma3):
         p3 = kernels.paths3_per_edge(rows, n)
-    if "lemma2" in stats and n >= 3 and p3:
+    edges, notes = [], []
+    paths = [0] * (n * n) if lemma3 else None
+    k = 0
+    for u in range(n):
+        ru = rows[u]
+        above = ru >> u + 1 << u + 1
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            edges.append((u, v))
+            if lemma1 and (ru & rows[v]).bit_count() > 2:
+                if note := _lemma1_note(rows, n, u, v):
+                    notes.append(note)
+            if paths is not None:
+                paths[u * n + v] = paths[v * n + u] = p3[k]
+                k += 1
+    if lemma1:
+        lemma1.add(len(edges), notes=notes)
+    if lemma2 and n >= 3 and p3:
         bound = 2 * (n - 3)
         lo, hi = min(p3), max(p3)
         notes = [] if hi <= bound else [f"n={n} edge=({u},{v}) paths={cnt} > {bound}"
                                          for (u, v), cnt in zip(edges, p3) if cnt > bound]
-        stats["lemma2"].add(len(p3), (bound - hi, bound - lo), notes)
-    if "lemma3" in stats and n >= 4:
-        paths = dict(zip(edges, p3))
-        notes, slacks = [], []
-        for face in _triangles(rots):
-            a, b, c = sorted(face)
-            cnt = paths[a, b] + paths[b, c] + paths[a, c]
-            bound = 4 * (n - 1) if rows[a] & rows[b] & rows[c] else 4 * n - 9
-            slacks.append(bound - cnt)
-            if cnt > bound:
-                notes.append(f"n={n} face={face} paths={cnt} > {bound}")
-        stats["lemma3"].add(len(slacks), slacks, notes)
-    if "remark4" in stats:
-        stats["remark4"].add(len(rots), notes=[
-            f"n={n} vertex={v} rotation gap" for v, rot in enumerate(rots)
-            if not all(rows[a] >> b & 1 for a, b in zip(rot, rot[1:] + rot[:1]))])
+        lemma2.add(len(p3), (bound - hi, bound - lo), notes)
+    if not (lemma3 or remark4):
+        return
+    pred = [-1] * (n * n)
+    faces, face_notes, gaps = 0, [], []
+    with_apex, without = 4 * (n - 1), 4 * n - 9
+    for v in range(n - 1, -1, -1):
+        rot = rots[v]
+        if not rot:
+            continue
+        rv, vn = rows[v], v * n
+        x, gap = rot[-1], False
+        for w in rot:
+            pred[vn + w] = x
+            if not rows[x] >> w & 1:
+                gap = True
+            if lemma3 and v < w and v < x and pred[w * n + x] == v and pred[x * n + v] == w:
+                cnt = paths[vn + w] + paths[w * n + x] + paths[vn + x]
+                bound = with_apex if rv & rows[w] & rows[x] else without
+                slack = bound - cnt
+                if not faces:
+                    lo = hi = slack
+                elif slack < lo:
+                    lo = slack
+                elif slack > hi:
+                    hi = slack
+                faces += 1
+                if cnt > bound:
+                    face_notes.append((v, f"n={n} face={(v, w, x)} paths={cnt} > {bound}"))
+            x = w
+        if gap:
+            gaps.append(f"n={n} vertex={v} rotation gap")
+    if lemma3:
+        face_notes.sort(key=itemgetter(0))
+        lemma3.add(faces, (lo, hi) if faces else (), [note for _, note in face_notes])
+    if remark4:
+        remark4.add(len(rots), notes=gaps[::-1])
 
 
 def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
@@ -313,7 +367,9 @@ def _triangles(rots) -> list[tuple[int, int, int]]:
     With pred_v(w) the neighbour before w around v, the face traced from the
     dart (v, w) is the triangle (v, w, x) iff x = pred_v(w), v = pred_w(x)
     and w = pred_x(v).  As the face trace in `embeddings` does, each is
-    listed at its least vertex v, darts in rotation order."""
+    listed at its least vertex v, darts in rotation order.  `_check`'s
+    dart walk finds the same faces in the same order; this reader is the
+    reference the tests hold both to."""
     pred = {(v, w): rot[i - 1] for v, rot in enumerate(rots) for i, w in enumerate(rot)}
     return [(v, w, x) for (v, w), x in pred.items()
             if v < w and v < x and pred.get((w, x)) == v and pred[x, v] == w]
@@ -348,20 +404,29 @@ def verify_lemma1(graphs) -> LemmaStats:
 
 def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
     """(edges, components) of the subgraph induced on `mask`, or None when
-    it is not a path forest (a vertex of degree > 2, or a cycle)."""
-    degree_sum = 0
-    for w in _bits(mask):
-        d = (rows[w] & mask).bit_count()
-        if d > 2:
-            return None
-        degree_sum += d
-    edges = degree_sum // 2
-    components = 0
+    it is not a path forest (a vertex of degree > 2, or a cycle).
+
+    One degree pass finds the forest's endpoints, the vertices of degree
+    at most 1; with every degree at most 2, each component is a path or a
+    cycle, and a path holds an endpoint while a cycle holds none, so the
+    graph is a path forest iff one flood from the endpoints reaches all of
+    `mask`.  Its components then number vertices minus edges.  The empty
+    mask is the empty forest, (0, 0)."""
+    degree_sum = ends = 0
     rest = mask
     while rest:
-        rest &= ~_flood(rows, rest & -rest, rest)
-        components += 1
-    return (edges, components) if mask.bit_count() - edges == components else None
+        low = rest & -rest
+        rest ^= low
+        d = (rows[low.bit_length() - 1] & mask).bit_count()
+        if d > 2:
+            return None
+        if d < 2:
+            ends |= low
+        degree_sum += d
+    if _flood(rows, ends, mask) != mask:
+        return None
+    edges = degree_sum // 2
+    return edges, mask.bit_count() - edges
 
 
 def verify_lemma2(graphs) -> LemmaStats:

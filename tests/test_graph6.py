@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -175,16 +176,23 @@ def test_code_encoder_matches_reference_on_corpus():
             assert _code_graph6(n, code) == _graph6(n, rows) == _graph6_reference(n, rows)
 
 
+# each malformed row set with the error it raises, checks in the order
+# length, then per row range and loop, then symmetry row by row, lowest
+# neighbour first; the ids are those of the (n, rows) pairs alone
+_BAD_ROWS = [
+    (3, [0b010, 0b000, 0b000], "asymmetric rows: 1 in row 0, 0 not in row 1"),
+    (3, [0b001, 0b000, 0b000], "self-loop at vertex 0"),
+    (2, [0b110, 0b001], "row 0 has a neighbour out of range for n=2"),
+    (2, [-1, 0b01], "row 0 has a neighbour out of range for n=2"),
+    (3, [0b010, 0b001], "expected 3 adjacency rows, got 2"),
+    # two asymmetric pairs: 2 in row 1 is reported before 0 in row 2
+    (3, [0b000, 0b100, 0b001], "asymmetric rows: 2 in row 1, 1 not in row 2"),
+]
+
+
 @pytest.mark.parametrize(
-    "n, rows",
-    [
-        (3, [0b010, 0b000, 0b000]),   # 1 in row 0, 0 not in row 1
-        (3, [0b001, 0b000, 0b000]),   # self-loop at 0
-        (2, [0b110, 0b001]),          # neighbour 2 out of range
-        (2, [-1, 0b01]),              # negative row
-        (3, [0b010, 0b001]),          # one row short
-    ],
+    "n, rows, message", _BAD_ROWS, ids=[f"{n}-rows{i}" for i, (n, _, _) in enumerate(_BAD_ROWS)]
 )
-def test_rows_constructor_rejects_bad_rows(n, rows):
-    with pytest.raises(GraphError):
+def test_rows_constructor_rejects_bad_rows(n, rows, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         Graph._from_rows(n, rows)

@@ -19,6 +19,7 @@ from pentaplanar.graphs import (
     _bits,
     common_neighbors,
     complete_graph,
+    cycle_graph,
     induced_subgraph,
     is_path_forest,
 )
@@ -295,6 +296,29 @@ def _random_graphs(count: int, seed: int) -> list[Graph]:
 def _embedded(graphs) -> list[Embedding]:
     embs = [planar_embed(g) for g in graphs]
     return [e for e in embs if isinstance(e, Embedding)]
+
+
+def test_path_forest_shape_matches_is_path_forest():
+    """`_path_forest_shape` gives (edges, paths) of the induced subgraph
+    exactly when `is_path_forest` accepts it, on seeded random graphs and
+    masks, the empty mask (the common neighbourhood of an edge with no
+    common neighbour), a pure cycle and a cycle beside a path."""
+    rng = random.Random(47)
+    cycle_and_path = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)])
+    cases = [(cycle_and_path, m) for m in (0, 0b1111, 0b1110000, 0b1111111, 0b111111111)]
+    cases += [(g, (1 << g.n) - 1) for g in (cycle_graph(3), cycle_graph(7))]
+    for g in _random_graphs(300, seed=53):
+        cases += [(g, 0), (g, (1 << g.n) - 1)]
+        cases += [(g, rng.getrandbits(g.n)) for _ in range(10)]
+    cycles = 0
+    for g, mask in cases:
+        sub, _ = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+        forest = is_path_forest(sub)
+        want = (sub.m, len(forest.paths)) if forest else None
+        assert _path_forest_shape(g.bitrows, mask) == want, (g.bitrows, mask)
+        cycles += not forest and max(sub.degree_sequence(), default=0) <= 2
+    assert _path_forest_shape(cycle_and_path.bitrows, 0) == (0, 0)
+    assert cycles > 0
 
 
 def test_lemma1_matches_embedding_reference():
