@@ -20,19 +20,13 @@ The compiled backend enumerates the paths u-a-b-c-v and u-x-y-v of each
 edge in one loop.  This one counts them in closed form from bit-sliced
 codegrees (`_codegree_planes`; see `edge_profile` for the derivations),
 which costs a few popcounts per edge instead of one per (a, c) pair.
-`paths3_per_edge` and `paths3_between` keep the loop: their one level of
-nesting is already cheap.  Both backends compute `embedding_min_code` by
-the same algorithm, and raise ValueError on the same inputs.
+`paths3_per_edge` and `paths3_between` keep the loop, walking each row's
+bits inline as `edge_profile` does: their one level of nesting is already
+cheap.  Both backends compute `embedding_min_code` by the same algorithm,
+and raise ValueError on the same inputs.
 """
 
 from __future__ import annotations
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _codegree_planes(rows: tuple[int, ...], nbrs: list[list[int]]) -> list[list[tuple[int, int]]]:
@@ -157,11 +151,13 @@ def edge_profile(
 
 def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
     """Number of paths u-x-y-v on four distinct vertices."""
-    rv = rows[v]
-    mask_u = ~(1 << u)
+    rv = rows[v] & ~(1 << u)
+    xs = rows[u] & ~(1 << v)
     total = 0
-    for x in _bits(rows[u] & ~(1 << v)):
-        total += (rows[x] & rv & mask_u).bit_count()
+    while xs:
+        low = xs & -xs
+        total += (rows[low.bit_length() - 1] & rv).bit_count()
+        xs ^= low
     return total
 
 
@@ -172,12 +168,17 @@ def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     out = []
     for u in range(n):
         ru = rows[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            rv = rows[v]
-            mask_u = ~(1 << u)
+        vs = ru >> (u + 1) << (u + 1)
+        while vs:
+            low_v = vs & -vs
+            vs ^= low_v
+            rv = rows[low_v.bit_length() - 1] & ~(1 << u)
+            xs = ru ^ low_v
             total = 0
-            for x in _bits(ru & ~(1 << v)):
-                total += (rows[x] & rv & mask_u).bit_count()
+            while xs:
+                low = xs & -xs
+                total += (rows[low.bit_length() - 1] & rv).bit_count()
+                xs ^= low
             out.append(total)
     return out
 

@@ -73,11 +73,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def canonical_order(g: Graph) -> list[int]:
-    """Vertex order realizing the canonical labeling (position -> vertex)."""
-    return _canonical_leaf(g)[1]
-
-
 def _canonical_leaf(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     """The winning leaf: its code (row i is the neighbor mask of position i
     in the relabeled graph) and its vertex order."""

@@ -226,8 +226,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else f" (use --allow-big for 13..{MAX_N})")
         )
-    # grow every level in one pass, including the levels that --variants
-    # samples, so one pool of --workers builds them all
+    # grow every level once up front, including the levels that --variants
+    # samples (which it would otherwise grow serially); the pool policy is
+    # `enumeration._fan_out`'s
     top = max(ns[-1], _VARIANT_LEVELS[1]) if args.variants else ns[-1]
     corpus_codes(top, workers=args.workers)
     failed = False

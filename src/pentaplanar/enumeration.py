@@ -94,11 +94,8 @@ only where a caller asks for one: `corpus`, and the classes
 
 One builder, `_grow`, turns a level into the next ones; `corpus_codes` uses
 it to fill only the levels its process-lifetime cache (`_LEVELS`) lacks.
-With workers > 1 it opens a single process pool per call, at the first
-level whose parents outnumber 4 * workers, and keeps it for the remaining
-levels.  Each level is handed to the pool as 4 * workers interleaved
-batches of codes (parents[k::4 * workers]), not one contiguous stretch of
-the sorted level per worker, and each worker decodes its parents; the batch
+Each level is expanded through `_fan_out`, the package's one pool policy
+(its docstring gives it), and each worker decodes its parents; the chunk
 code sets are merged and sorted, so the result does not depend on the
 worker count.
 
@@ -119,7 +116,7 @@ import json
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator
 
 from . import kernels
@@ -422,28 +419,49 @@ def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
     return codes
 
 
+# Items per worker: a pool opens above _POOL_MIN, since one class takes
+# about half a millisecond to check or expand and a pool of two about
+# 30 ms to start and feed; each pool round holds at most _ROUND.
+_POOL_MIN = 100
+_ROUND = 1024
+
+
+def _fan_out(fn, items, size: int, workers: int) -> Iterator:
+    """Yield `fn`'s results over the `size` items in item order: the
+    package's one rule for spreading work over processes.  With one worker,
+    or at most _POOL_MIN items per worker, one call takes every item (an
+    iterator streams).  Else one process pool, opened for this call, takes
+    rounds of at most _ROUND items per worker, each cut into 4 * workers
+    contiguous chunks of near-equal size, as the cost per item of a sorted
+    level is uneven.  Each round is sent before the one ahead of it is
+    read, so no worker waits for the slowest chunk of a round, and at most
+    two rounds are held."""
+    if workers == 1 or size <= _POOL_MIN * workers:
+        yield fn(items)
+        return
+    items = iter(items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # results of the rounds sent and not yet read; the empty first
+        # entry lets each round go out before the one ahead of it is read
+        rounds = [()]
+        while rounds:
+            if batch := list(islice(items, _ROUND * workers)):
+                k = min(4 * workers, len(batch))
+                cuts = [len(batch) * i // k for i in range(k + 1)]
+                rounds.append(pool.map(fn, [batch[a:b] for a, b in zip(cuts, cuts[1:])]))
+            yield from rounds.pop(0)
+
+
 def _grow(level: tuple[bytes, ...], n: int, workers: int) -> Iterator[tuple[bytes, ...]]:
     """Yield the levels after `level` up to n vertices, each one the sorted
-    codes built from the one before it; see the module docstring for the
-    pool policy."""
-    step = 4 * workers
-    pool: ProcessPoolExecutor | None = None
-    try:
-        for _ in range(len(_code_rotations(level[0])), n):
-            if pool is None and workers > 1 and len(level) > step:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            if pool is None:
-                codes = _expand_batch(level)
-            else:
-                batches = [level[k::step] for k in range(step)]
-                codes = set()
-                for part in pool.map(_expand_batch, batches):
-                    codes |= part
-            level = tuple(sorted(codes))
-            yield level
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    codes built from the one before it; each chunk's codes are merged, and
+    freed, as they arrive."""
+    for _ in range(len(_code_rotations(level[0])), n):
+        codes: set[bytes] = set()
+        for part in _fan_out(_expand_batch, level, len(level), workers):
+            codes |= part
+        level = tuple(sorted(codes))
+        yield level
 
 
 _LEVELS: dict[int, tuple[bytes, ...]] = {}

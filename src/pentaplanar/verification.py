@@ -28,14 +28,10 @@ Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
 each class's rotation system off its canonical code; `_check_variants`
 runs it over `verify --variants`, embedding each variant first.  Both go
-through `_fold`: with one worker, or at most _POOL_MIN items per worker,
-one call checks the whole iterable (variants stream one at a time).
-Otherwise one process pool takes rounds of at most _ROUND items per
-worker, one contiguous chunk per worker, and the results are folded back
-in order, counts concatenated and stats joined by `LemmaStats.merge`; so
-the chunks a worker holds stay bounded as the level grows, the main
-process holds at most two rounds of variants, and no result depends on
-the worker count.
+through `_fold`, which spreads the items over processes by
+`enumeration._fan_out` and folds the results back in item order, counts
+concatenated and stats joined by `LemmaStats.merge`, so no result depends
+on the worker count.
 """
 
 from __future__ import annotations
@@ -43,17 +39,15 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice
 from operator import itemgetter
 
 from . import kernels
 from .canon import canonical_form
 from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
-from .enumeration import MAX_N, _code_rotations, _rows, code_to_embedding, corpus_codes
+from .enumeration import MAX_N, _code_rotations, _fan_out, _rows, code_to_embedding, corpus_codes
 from .families import FamilySpec, build_A, build_D, expected_c5
 from .graphs import Graph, _flood
 
@@ -65,11 +59,6 @@ _LEMMAS = ("lemma1", "lemma2", "lemma3", "remark4")
 _VARIANT_LEMMAS = _LEMMAS[:3]
 # The lowest and highest level that edge-deleted variants are drawn from.
 _VARIANT_LEVELS = (5, 12)
-# Items per worker: a pool opens above _POOL_MIN, since one class or
-# variant takes about half a millisecond to check and a pool of two about
-# 30 ms to start and feed; each pool round holds at most _ROUND.
-_POOL_MIN = 100
-_ROUND = 1024
 
 
 def expected_max_c5(n: int) -> int:
@@ -225,28 +214,13 @@ def _check_chunk(
 
 
 def _fold(check, items, size: int, workers: int) -> tuple[list[int], dict[str, LemmaStats]]:
-    """`check` over the `size` items.  With one worker, or at most
-    _POOL_MIN items per worker, one call takes them all.  Else one process
-    pool takes rounds of at most _ROUND items per worker, one contiguous
-    chunk each, and the results are folded back in item order.  Each round
-    is sent before the one ahead of it is read, so no worker waits for the
-    slowest chunk of a round, and at most two rounds are held."""
-    if workers == 1 or size <= _POOL_MIN * workers:
-        return check(items)
-    items, counts, stats = iter(items), [], {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # results of the rounds sent and not yet read; the empty first
-        # entry lets each round go out before the one ahead of it is read
-        rounds = [()]
-        while rounds:
-            if batch := list(islice(items, _ROUND * workers)):
-                step = -(-len(batch) // workers)
-                chunks = [batch[i : i + step] for i in range(0, len(batch), step)]
-                rounds.append(pool.map(check, chunks))
-            for more_counts, more in rounds.pop(0):
-                counts += more_counts
-                for name, part in more.items():
-                    stats.setdefault(name, LemmaStats()).merge(part)
+    """`check` over the `size` items, spread by `enumeration._fan_out`, its
+    results folded back in item order."""
+    counts, stats = [], {}
+    for more_counts, more in _fan_out(check, items, size, workers):
+        counts += more_counts
+        for name, part in more.items():
+            stats.setdefault(name, LemmaStats()).merge(part)
     return counts, stats
 
 

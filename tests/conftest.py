@@ -1,6 +1,29 @@
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
 from hypothesis import strategies as st
 
+from pentaplanar import enumeration
 from pentaplanar.graphs import Graph
+
+
+@pytest.fixture
+def pool_rounds(monkeypatch):
+    """Every process pool that `enumeration._fan_out` opens, as the list of
+    its rounds, each round the sizes of the chunks it sent."""
+    made = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append([])
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, chunks):
+            made[-1].append([len(chunk) for chunk in chunks])
+            return super().map(fn, chunks)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    return made
 
 
 @st.composite

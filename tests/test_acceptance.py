@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from pentaplanar import enumeration
 from pentaplanar.canon import canonical_form
 from pentaplanar.counting import (
     count_cycles,
@@ -308,10 +309,16 @@ def _fresh_digest(n: int, workers: int) -> str:
     return _digest(sorted(to_graph6(code_to_embedding(c).graph) for c in level))
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_worker_determinism(monkeypatch, pool_rounds):
     t0 = time.perf_counter()
     d1 = _fresh_digest(10, workers=1)
-    d8 = _fresh_digest(10, workers=8)
+    with monkeypatch.context() as m:
+        # lowered thresholds, so that level 9's 50 parents reach a pool
+        m.setattr(enumeration, "_POOL_MIN", 2)
+        m.setattr(enumeration, "_ROUND", 4)
+        d8 = _fresh_digest(10, workers=8)
+    # one pool, two rounds of at most 4 * 8 parents, one chunk per parent
+    assert pool_rounds == [[[1] * 32, [1] * 18]]
     assert d1 == d8 == enumerate_triangulations(10).digest
     c1 = verify_theorem(9, workers=1).to_json_dict()
     c8 = verify_theorem(9, workers=8).to_json_dict()

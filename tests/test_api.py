@@ -1,8 +1,9 @@
 import pentaplanar
-from pentaplanar import embeddings, enumeration, families, graphs, kernels, verification
+from pentaplanar import canon, embeddings, enumeration, families, graphs, kernels, verification
 
 # helpers that had no production caller and no oracle role; removed
 DELETED = {
+    canon: ("canonical_order",),
     graphs: ("complete_bipartite", "contract_edge", "degree"),
     embeddings: ("is_planar", "parse_rotations", "_bridges", "_insert_path"),
     enumeration: ("canonical_code",),

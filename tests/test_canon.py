@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pentaplanar import canon
-from pentaplanar.canon import _refine, are_isomorphic, canonical_form, canonical_order
+from pentaplanar.canon import _canonical_leaf, _refine, are_isomorphic, canonical_form
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import build_A, build_D, build_E
 from pentaplanar.graphs import (
@@ -68,7 +68,7 @@ def test_symmetric_worst_cases_terminate_fast(monkeypatch):
 
 def test_canonical_order_is_permutation():
     g = build_D(7)
-    order = canonical_order(g)
+    order = _canonical_leaf(g)[1]
     assert sorted(order) == list(range(g.n))
 
 
@@ -173,7 +173,7 @@ def _relabeled(g: Graph, rng: random.Random) -> Graph:
 
 def test_form_is_the_graph6_of_the_canonical_relabeling():
     # canonical_form encodes the winning leaf's code rows directly; they
-    # must be the rows of the graph relabeled by canonical_order
+    # must be the rows of the graph relabeled by the leaf's vertex order
     rng = random.Random(37)
     graphs = [e.graph for n in range(4, 10) for e in corpus(n)]
     graphs += [_relabeled(build(n), rng) for build in (build_D, build_E)
@@ -184,7 +184,7 @@ def test_form_is_the_graph6_of_the_canonical_relabeling():
         graphs.append(Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
                                 if rng.random() < p]))
     for g in graphs:
-        perm = {v: i for i, v in enumerate(canonical_order(g))}
+        perm = {v: i for i, v in enumerate(_canonical_leaf(g)[1])}
         assert canonical_form(g) == to_graph6(g.relabel(perm)), to_graph6(g)
 
 
@@ -340,7 +340,7 @@ def test_refine_matches_reference_on_corpus_and_random_graphs():
 
 def _assert_orders_match(graphs) -> None:
     for g in graphs:
-        assert canonical_order(g) == _canonical_order_reference(g), to_graph6(g)
+        assert _canonical_leaf(g)[1] == _canonical_order_reference(g), to_graph6(g)
 
 
 def test_order_matches_reference_on_corpus():

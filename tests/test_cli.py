@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -202,28 +201,19 @@ def test_roundtrip_every_family_with_oracle(tmp_path, capsys):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Record the max_workers of every process pool that enumeration or
-    verification opens, on a fresh level cache."""
-    from pentaplanar import enumeration, verification
+def pools(monkeypatch, pool_rounds):
+    """`pool_rounds` (the rounds of every process pool opened, each round
+    its chunk sizes), on a fresh level cache."""
+    from pentaplanar import enumeration
 
-    made = []
-
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
     monkeypatch.setattr(enumeration, "_LEVELS", {})
-    return made
+    return pool_rounds
 
 
 def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatch, pools):
-    """verify grows its top level once, so one enumeration pool serves every
-    n; the per-class check adds one pool per n whose level has more than
-    100 classes per worker, with or without --lemmas-only."""
+    """verify grows its top level once, so each level is grown once for
+    every n; growing a level and checking one each open a pool when it has
+    more than 100 classes per worker, with or without --lemmas-only."""
     from pentaplanar import enumeration
 
     for lemmas_only in ((), ("--lemmas-only",)):
@@ -234,19 +224,24 @@ def test_verify_opens_one_level_pool_and_one_check_pool_per_n(capsys, monkeypatc
         payload = json.loads(out)
         assert code == 0 and payload["certificates"][-1]["lemmas"]
         assert lemmas_only or payload["monotonicity"]["passed"]
-        # one pool grows levels 9..11; n = 10 and 11 have more than 100 * 2
-        # classes
-        assert pools == [2] * 3, lemmas_only
+        # level 10 has more than 100 * 2 parents, so one pool grows level
+        # 11; one pool each checks n = 10 and 11; each pool takes its items
+        # in one round of 4 * 2 chunks
+        rounds = [[(sum(r), len(r)) for r in pool] for pool in pools]
+        assert rounds == [[(233, 8)], [(233, 8)], [(1249, 8)]], lemmas_only
 
 
-def test_verify_variants_grow_their_levels_in_one_pool(capsys, pools):
+def test_verify_variants_grow_their_levels_with_workers(capsys, pools):
     """--variants samples the levels up to n = 12; verify grows them with
-    --workers, in the same single enumeration pool as the checked levels."""
+    --workers, like the checked levels."""
     code, out, _ = run(capsys, "verify", "--n", "5", "--lemmas-only",
                        "--variants", "20", "--workers", "2", "--json")
     assert code == 0 and json.loads(out)["variants"]["count"] == 20
-    # one pool grows levels 9..12; the single class at n = 5 needs no check pool
-    assert pools == [2]
+    # levels 10 and 11 have more than 100 * 2 parents, so one pool grows
+    # level 11 and one level 12; the single class at n = 5 and the 20
+    # variants need no check pool; each pool takes its parents in one round
+    # of 4 * 2 chunks
+    assert [[(sum(r), len(r)) for r in pool] for pool in pools] == [[(233, 8)], [(1249, 8)]]
 
 
 def test_verify_variants_check_in_one_pool_with_worker_independent_output(capsys, pools):
@@ -257,7 +252,7 @@ def test_verify_variants_check_in_one_pool_with_worker_independent_output(capsys
     assert code == 0 and pools == []
     code, pooled, _ = run(capsys, *args, "--workers", "2")
     # the levels are cached by now, so the one pool is the variant sweep's
-    assert code == 0 and pools == [2]
+    assert code == 0 and [[(sum(r), len(r)) for r in pool] for pool in pools] == [[(300, 8)]]
     assert pooled == serial
 
 

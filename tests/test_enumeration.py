@@ -13,6 +13,7 @@ from pentaplanar.enumeration import (
     _candidate_splits,
     _code_rotations,
     _expand_batch,
+    _fan_out,
     _grow,
     _new_edge_is_minimal,
     audit_dump,
@@ -126,18 +127,47 @@ def test_certificate_and_dump():
     assert payload["digest"] == cert.digest
 
 
-def test_determinism_across_runs_and_workers():
+def test_determinism_across_runs_and_workers(monkeypatch, pool_rounds):
     # fresh level builds, not the process-lifetime level cache
     def codes(start, n, workers):
         return list(_grow(start, n, workers))
 
     base = codes(corpus_codes(9), 10, 1)
-    again = codes(corpus_codes(9), 10, 1)
-    pooled = codes(corpus_codes(9), 10, 4)
-    assert base == again == pooled
+    assert codes(corpus_codes(9), 10, 1) == base
     assert base == [tuple(kernels.embedding_min_code(e.rotations, 10) for e in corpus(10))]
-    # one pool kept over levels 9 and 10, the first two with > 4 * 2 parents
-    assert codes(corpus_codes(4), 10, 2) == codes(corpus_codes(4), 10, 1)
+    serial = codes(corpus_codes(4), 10, 1)
+    assert pool_rounds == []
+    # levels this small reach a pool, over several rounds, only with
+    # lowered thresholds
+    monkeypatch.setattr(enumeration, "_POOL_MIN", 2)
+    monkeypatch.setattr(enumeration, "_ROUND", 8)
+    assert codes(corpus_codes(9), 10, 4) == base
+    assert codes(corpus_codes(4), 10, 2) == serial
+    # one pool per level with more than 2 parents per worker: 50 parents in
+    # rounds of 8 * 4, then 5, 14 and 50 parents in rounds of 8 * 2, each
+    # round cut into 4 * workers chunks (or one per parent, if fewer)
+    assert [[sum(r) for r in pool] for pool in pool_rounds] == [
+        [32, 18], [5], [14], [16, 16, 16, 2]]
+    assert [[len(r) for r in pool] for pool in pool_rounds] == [
+        [16, 16], [5], [8], [8, 8, 8, 2]]
+
+
+def test_fan_out_sends_bounded_rounds_of_contiguous_chunks(monkeypatch, pool_rounds):
+    """`_fan_out` yields one result per chunk in item order: one chunk of
+    every item at or under _POOL_MIN items per worker, else rounds of at
+    most _ROUND items per worker, each cut into 4 * workers contiguous
+    chunks of near-equal size."""
+    monkeypatch.setattr(enumeration, "_POOL_MIN", 2)
+    monkeypatch.setattr(enumeration, "_ROUND", 10)
+    items = range(50)
+    assert list(_fan_out(tuple, items, 50, 1)) == [tuple(items)]
+    assert list(_fan_out(tuple, range(4), 4, 2)) == [(0, 1, 2, 3)]
+    assert pool_rounds == []
+    chunks = list(_fan_out(tuple, iter(items), 50, 2))
+    # rounds of 20 items, 8 chunks each: sizes 2 and 3, then 10 in 8 chunks
+    assert [len(c) for c in chunks] == [2, 3, 2, 3, 2, 3, 2, 3] * 2 + [1, 1, 1, 2, 1, 1, 1, 2]
+    assert [x for c in chunks for x in c] == list(items)
+    assert pool_rounds == [[[len(c) for c in chunks[k : k + 8]] for k in (0, 8, 16)]]
 
 
 @pytest.mark.parametrize("n", sorted(KNOWN_DIGESTS))

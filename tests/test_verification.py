@@ -1,10 +1,9 @@
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from pentaplanar import kernels, verification
+from pentaplanar import enumeration, kernels
 from pentaplanar.counting import apex_exists, count_cycles, count_face_paths3
 from pentaplanar.embeddings import (
     Embedding,
@@ -456,33 +455,23 @@ def test_level_check_matches_per_item_reference():
         assert counts == [sum(_c5_per_edge_reference(g.bitrows, n)) // 5 for g, _ in items]
 
 
-def test_pooled_check_spans_rounds_and_equals_serial(monkeypatch):
+def test_pooled_check_spans_rounds_and_equals_serial(monkeypatch, pool_rounds):
     """With small rounds, the pooled level check (counts and lemmas, n = 9
     and 10) and the pooled variant sweep each feed one pool several rounds
-    of at most _ROUND items per worker, and give the serial results."""
+    of at most _ROUND items per worker, cut into 4 * workers chunks, and
+    give the serial results."""
     serial = [_check_level(n, _ALL, 1, True) for n in (9, 10)]
     serial_variants = _check_variants(300, 7, 1)
-    rounds = []
-
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            rounds.append([])
-            super().__init__(*args, **kwargs)
-
-        def map(self, fn, chunks):
-            rounds[-1].append([len(chunk) for chunk in chunks])
-            return super().map(fn, chunks)
-
-    monkeypatch.setattr(verification, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(verification, "_POOL_MIN", 2)
-    monkeypatch.setattr(verification, "_ROUND", 16)
+    monkeypatch.setattr(enumeration, "_POOL_MIN", 2)
+    monkeypatch.setattr(enumeration, "_ROUND", 16)
     pooled = [_check_level(n, _ALL, 2, True) for n in (9, 10)]
     pooled_variants = _check_variants(300, 7, 2)
-    # one pool per call; 50, 233 and 300 items in rounds of at most 2 * 16
-    assert [len(pool) for pool in rounds] == [2, 8, 10]
-    for pool, size in zip(rounds, (50, 233, 300)):
-        assert all(len(chunks) == 2 and max(chunks) <= 16 for chunks in pool[:-1])
-        assert sum(map(sum, pool)) == size
+    # one pool per call; 50, 233 and 300 items in rounds of at most 2 * 16,
+    # each cut into 8 chunks whose sizes differ by at most one
+    assert [[sum(chunks) for chunks in pool] for pool in pool_rounds] == [
+        [32, 18], [32] * 7 + [9], [32] * 9 + [12]]
+    for chunks in (chunks for pool in pool_rounds for chunks in pool):
+        assert len(chunks) == 8 and max(chunks) - min(chunks) <= 1
     for (counts, stats), (more_counts, more) in zip(serial, pooled):
         assert more_counts == counts and _as_json(more) == _as_json(stats)
     assert _as_json(pooled_variants) == _as_json(serial_variants)
