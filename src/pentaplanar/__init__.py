@@ -38,7 +38,6 @@ from .embeddings import (
 from .canon import are_isomorphic, canonical_form
 from .enumeration import (
     EnumerationCertificate,
-    bruteforce_triangulations,
     corpus,
     enumerate_triangulations,
 )
@@ -50,6 +49,7 @@ from .families import (
     build_exceptional,
     expand,
 )
+from .oracles import bruteforce_triangulations
 from .verification import (
     VerificationCertificate,
     verify_lemma1,

@@ -22,7 +22,6 @@ from .counting import (
 from .enumeration import (
     MAX_N,
     MIN_N,
-    corpus_codes,
     corpus_graph6,
     _certificate,
 )
@@ -30,7 +29,6 @@ from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
 from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
     _LEMMAS,
-    _VARIANT_LEVELS,
     _check_level,
     _check_variants,
     verify_monotonicity,
@@ -226,11 +224,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--n range must lie within 5..{cap}"
             + ("" if args.allow_big else f" (use --allow-big for 13..{MAX_N})")
         )
-    # grow every level once up front, including the levels that --variants
-    # samples (which it would otherwise grow serially); the pool policy is
-    # `enumeration._fan_out`'s
-    top = max(ns[-1], _VARIANT_LEVELS[1]) if args.variants else ns[-1]
-    corpus_codes(top, workers=args.workers)
     failed = False
     reports = []
     for n in ns:

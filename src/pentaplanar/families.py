@@ -9,8 +9,8 @@ A_11 and the four catalog graphs without explicit constructions are frozen
 as canonical graph6 strings.  They were pinned by a discovery sweep over the
 enumerated corpus:
 each is the unique triangulation with its vertex count and pentagon count
-that has no degree-4 vertex (`discover_catalog_graphs` reproduces the sweep,
-and the test suite asserts the uniqueness on every run).
+that has no degree-4 vertex (`oracles.discover_catalog_graphs` reproduces the
+sweep, and the test suite asserts the uniqueness on every run).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .canon import canonical_form
-from .counting import count_cycles, g_formula
+from .counting import g_formula
 from .graphs import Graph, GraphError, parse_graph6
 
 EXCEPTIONAL_VERTICES = (7, 8, 9, 9, 10, 11)
@@ -178,32 +177,7 @@ def expected_c5(spec: FamilySpec) -> int:
     return EXCEPTIONAL_C5[spec.exc_index]
 
 
-def discover_catalog_graphs(n: int, c5: int, corpus) -> list[Graph]:
-    """Re-derive a catalog entry from an enumerated corpus.
-
-    Returns every n-vertex triangulation in the corpus with the stated
-    pentagon count and no degree-4 vertex.  Callers must treat any result
-    other than a single graph as an ambiguity to report, not resolve.
-    """
-    out = []
-    for emb in corpus:
-        g = emb.graph
-        if g.n == n and count_cycles(g, 5) == c5 and 4 not in set(g.degree_sequence()):
-            out.append(g)
-    return out
-
-
 def golden_catalog() -> list[dict]:
     """The shipped golden catalog: family, n, graph6, expected_c5 records."""
     text = resources.files("pentaplanar").joinpath("data/golden_catalog.json").read_text()
     return json.loads(text)
-
-
-def verify_golden_entry(entry: dict) -> bool:
-    """Re-build a catalog entry and confirm count and isomorphism class."""
-    spec = spec_from_name(entry["family"], entry.get("n"))
-    g = expand(spec)
-    return (
-        count_cycles(g, 5) == entry["expected_c5"]
-        and canonical_form(g) == canonical_form(parse_graph6(entry["graph6"]))
-    )

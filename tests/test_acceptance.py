@@ -23,7 +23,6 @@ from pentaplanar.counting import (
 )
 from pentaplanar.embeddings import Embedding, planar_embed
 from pentaplanar.enumeration import (
-    bruteforce_triangulations,
     code_to_embedding,
     corpus,
     corpus_codes,
@@ -40,6 +39,7 @@ from pentaplanar.families import (
     build_exceptional,
 )
 from pentaplanar.graphs import Graph, to_graph6
+from pentaplanar.oracles import bruteforce_triangulations
 from pentaplanar.verification import (
     edge_deleted_variants,
     verify_lemma1,

@@ -9,7 +9,7 @@ DELETED = {
     enumeration: ("canonical_code",),
     families: ("FAMILY_NAMES",),
     kernels: ("backends", "compiled_available"),
-    verification: ("verify_lemmas_over",),
+    verification: ("verify_lemmas_over", "_triangles"),
 }
 
 

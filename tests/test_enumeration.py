@@ -16,16 +16,14 @@ from pentaplanar.enumeration import (
     _fan_out,
     _grow,
     _new_edge_is_minimal,
-    audit_dump,
-    bruteforce_triangulations,
     code_to_embedding,
     corpus,
     corpus_codes,
     corpus_graph6,
     enumerate_triangulations,
-    flip_graph_triangulations,
     split_vertex,
 )
+from pentaplanar.oracles import audit_dump, bruteforce_triangulations, flip_graph_triangulations
 from pentaplanar.families import build_D
 from pentaplanar.graphs import Graph, GraphError, complete_graph, parse_graph6, to_graph6
 from pentaplanar.verification import verify_monotonicity, verify_theorem

@@ -13,14 +13,13 @@ from pentaplanar.families import (
     build_D,
     build_E,
     build_exceptional,
-    discover_catalog_graphs,
     expand,
     expected_c5,
     golden_catalog,
     spec_from_name,
-    verify_golden_entry,
 )
 from pentaplanar.graphs import GraphError
+from pentaplanar.oracles import discover_catalog_graphs, verify_golden_entry
 
 
 def test_build_D_structure():

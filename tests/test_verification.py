@@ -21,6 +21,7 @@ from pentaplanar.graphs import (
     cycle_graph,
     induced_subgraph,
     is_path_forest,
+    parse_graph6,
 )
 from pentaplanar.verification import (
     MAX_VIOLATION_EXAMPLES,
@@ -32,7 +33,6 @@ from pentaplanar.verification import (
     _check_variants,
     _path_forest_shape,
     _sweep,
-    _triangles,
     edge_deleted_variants,
     expected_family_labels,
     expected_max_c5,
@@ -67,6 +67,24 @@ def test_verify_theorem_small(n, max_c5, families):
     assert [e.family for e in cert.extremal] == families
     if cert.second_best is not None:
         assert cert.second_best < cert.max_c5
+
+
+def test_every_edge_of_every_maximizer_lies_on_a_pentagon():
+    """The uniqueness premise: a planar graph H with the maximum pentagon
+    count spans a maximizer T whose pentagons all lie in H, so H = T once
+    every edge of T lies on a 5-cycle.  The least per-edge c5 is positive on
+    every maximizer that verify_theorem reports for n = 5..11 (D_n, A_8 and
+    A_11) and on D_n up to n = 60."""
+    least = {}
+    for n in range(5, 12):
+        for entry in verify_theorem(n).extremal:
+            g = parse_graph6(entry.graph6)
+            least[n, entry.family] = min(kernels.edge_profile(g.bitrows, n)[2])
+    assert sorted(least) == sorted([(n, "D") for n in range(5, 12)] + [(8, "A"), (11, "A")])
+    for n in range(12, 61):
+        g = build_D(n)
+        least[n, "D"] = min(kernels.edge_profile(g.bitrows, n)[2])
+    assert all(c5 > 0 for c5 in least.values()), least
 
 
 def test_certificate_json_schema():
@@ -378,6 +396,20 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
 # one record per edge, face and vertex, every common neighbourhood flooded,
 # faces traced by `_triangles` and paths counted by the pure 3-path loop
 # ---------------------------------------------------------------------------
+
+
+def _triangles(rots) -> list[tuple[int, int, int]]:
+    """The triangular faces of a rotation system, in face-tracing order.
+
+    With pred_v(w) the neighbour before w around v, the face traced from the
+    dart (v, w) is the triangle (v, w, x) iff x = pred_v(w), v = pred_w(x)
+    and w = pred_x(v).  As the face trace in `embeddings` does, each is
+    listed at its least vertex v, darts in rotation order.  `_check`'s
+    dart walk finds the same faces in the same order; this reader is the
+    reference the tests hold both to."""
+    pred = {(v, w): rot[i - 1] for v, rot in enumerate(rots) for i, w in enumerate(rot)}
+    return [(v, w, x) for (v, w), x in pred.items()
+            if v < w and v < x and pred.get((w, x)) == v and pred[x, v] == w]
 
 
 def _check_reference(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
