@@ -268,7 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not args.json:
             print(f"variants({args.variants}, seed={args.seed}): violations={bad}")
     if not args.lemmas_only:
-        mono = verify_monotonicity(samples=200, seed=args.seed)
+        mono = verify_monotonicity(samples=200, seed=args.seed, workers=args.workers)
         summary["monotonicity"] = mono.to_json_dict()
         failed |= not mono.passed
         if not args.json:

@@ -9,11 +9,12 @@ That c5(H + e) >= c5(H) holds for every graph, planar or not, so
 `verify_monotonicity` tests the counter, not this reduction; its record
 stays in the certificate.  Uniqueness needs one more fact: if c5(H) is the
 maximum, T is a maximizer and every pentagon of T lies in H, so H = T as
-soon as every edge of every maximizer lies on a 5-cycle.  The tests check
-that the least per-edge pentagon count is positive on every maximizer that
-`verify_theorem` reports for n <= 11 and on D_n up to n = 60, and CI on the
-maximizers of the n = 13 and 14 certificates.  The best non-extremal
-triangulation sits strictly below the maximum (`second_best`).
+soon as every edge of every maximizer lies on a 5-cycle.  `theorem_match`
+includes that premise: `verify_theorem` requires a positive least per-edge
+pentagon count on every maximizer it reports, so each certificate carries
+it.  The tests also check it on D_n up to n = 60, beyond `verify`'s range.
+The best non-extremal triangulation sits strictly below the maximum
+(`second_best`).
 
 Each class is checked once, by `_check`: its adjacency rows are built
 once, and Lemmas 2 and 3 share one `paths3_per_edge` pass; when
@@ -56,7 +57,7 @@ from .canon import canonical_form
 from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
 from .enumeration import MAX_N, _code_rotations, _fan_out, _rows, code_to_embedding, corpus_codes
-from .families import FamilySpec, build_A, build_D, expected_c5
+from .families import FamilySpec, expand, expected_c5
 from .graphs import Graph, _flood
 
 SCHEMA_VERSION = 1
@@ -153,7 +154,9 @@ def verify_theorem(
 
     theorem_match requires: the maximum over all n-vertex triangulations
     equals the proven value, the maximizers are exactly the expected
-    families, and every other class counts strictly fewer pentagons.
+    families, every other class counts strictly fewer pentagons, and every
+    edge of every maximizer lies on a pentagon (the uniqueness premise of
+    the module docstring).
     """
     if not (5 <= n <= MAX_N):
         raise ValueError(f"verify_theorem supports 5 <= n <= {MAX_N}, got {n}")
@@ -163,12 +166,12 @@ def verify_theorem(
     arg = [i for i, c in enumerate(counts) if c == max_c5]
     second = max((c for c in counts if c != max_c5), default=None)
 
-    known: dict[str, str] = {canonical_form(build_D(n)): "D"}
-    if n in (8, 11):
-        known[canonical_form(build_A(n))] = "A"
+    known = {canonical_form(expand(FamilySpec(label, n))): label
+             for label in expected_family_labels(n)}
+    maximizers = [code_to_embedding(codes[i]).graph for i in arg]
     extremal = []
-    for i in arg:
-        cf = canonical_form(code_to_embedding(codes[i]).graph)
+    for g in maximizers:
+        cf = canonical_form(g)
         extremal.append(ExtremalEntry(graph6=cf, family=known.get(cf, "unknown")))
     extremal.sort(key=lambda e: (e.family, e.graph6))
 
@@ -177,6 +180,7 @@ def verify_theorem(
         max_c5 == expected_max_c5(n)
         and labels == tuple(sorted(expected_family_labels(n)))
         and (second is None or second < max_c5)
+        and all(min(kernels.edge_profile(g.bitrows, n)[2]) > 0 for g in maximizers)
     )
     return VerificationCertificate(
         n=n,
@@ -474,7 +478,9 @@ class MonotonicityResult:
         return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
-def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResult:
+def verify_monotonicity(
+    samples: int = 200, seed: int = 42, workers: int = 1
+) -> MonotonicityResult:
     """Adding any planarity-preserving edge never decreases the pentagon
     count.  That holds for every graph, so this checks the counter, not the
     reduction to triangulations (the module docstring gives what that
@@ -488,7 +494,9 @@ def verify_monotonicity(samples: int = 200, seed: int = 42) -> MonotonicityResul
     pentagons are counted afresh, on the base rows with the new edge set;
     the difference c5(grown) - c5(base) is not taken in closed form (the
     paths u-a-b-c-v of the base), since that form can never go negative.
+    The sampled levels (up to n = 11) are grown first, with `workers`.
     """
+    corpus_codes(11, workers)
     rng = random.Random(seed)
     result = MonotonicityResult(samples=samples, edges_tested=0, seed=seed, passed=True)
     for _ in range(samples):

@@ -244,6 +244,19 @@ def test_verify_variants_grow_their_levels_with_workers(capsys, pools):
     assert [[(sum(r), len(r)) for r in pool] for pool in pools] == [[(233, 8)], [(1249, 8)]]
 
 
+def test_verify_monotonicity_grows_its_levels_with_workers(capsys, pools):
+    """The monotonicity check samples the levels up to n = 11; verify grows
+    them with --workers, like the checked levels, and stdout does not
+    change."""
+    code, out, _ = run(capsys, "verify", "--n", "5", "--workers", "2", "--json")
+    assert code == 0 and json.loads(out)["monotonicity"]["passed"]
+    # level 10 has more than 100 * 2 parents, so one pool grows level 11 in
+    # one round of 4 * 2 chunks; the single class at n = 5 needs no check pool
+    assert [[(sum(r), len(r)) for r in pool] for pool in pools] == [[(233, 8)]]
+    code, serial, _ = run(capsys, "verify", "--n", "5", "--workers", "1", "--json")
+    assert code == 0 and serial == out
+
+
 def test_verify_variants_check_in_one_pool_with_worker_independent_output(capsys, pools):
     """Above 100 variants per worker, --variants embeds and checks them in
     one process pool, and the output equals the serial run's."""

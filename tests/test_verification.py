@@ -4,6 +4,8 @@ import random
 import pytest
 
 from pentaplanar import enumeration, kernels
+from pentaplanar.canon import canonical_form
+from pentaplanar.cli import main
 from pentaplanar.counting import apex_exists, count_cycles, count_face_paths3
 from pentaplanar.embeddings import (
     Embedding,
@@ -21,7 +23,6 @@ from pentaplanar.graphs import (
     cycle_graph,
     induced_subgraph,
     is_path_forest,
-    parse_graph6,
 )
 from pentaplanar.verification import (
     MAX_VIOLATION_EXAMPLES,
@@ -70,21 +71,48 @@ def test_verify_theorem_small(n, max_c5, families):
 
 
 def test_every_edge_of_every_maximizer_lies_on_a_pentagon():
-    """The uniqueness premise: a planar graph H with the maximum pentagon
-    count spans a maximizer T whose pentagons all lie in H, so H = T once
-    every edge of T lies on a 5-cycle.  The least per-edge c5 is positive on
-    every maximizer that verify_theorem reports for n = 5..11 (D_n, A_8 and
-    A_11) and on D_n up to n = 60."""
-    least = {}
-    for n in range(5, 12):
-        for entry in verify_theorem(n).extremal:
-            g = parse_graph6(entry.graph6)
-            least[n, entry.family] = min(kernels.edge_profile(g.bitrows, n)[2])
-    assert sorted(least) == sorted([(n, "D") for n in range(5, 12)] + [(8, "A"), (11, "A")])
-    for n in range(12, 61):
-        g = build_D(n)
-        least[n, "D"] = min(kernels.edge_profile(g.bitrows, n)[2])
+    """The uniqueness premise, beyond verify's range: the least per-edge c5
+    is positive on D_n for n = 12..60.  verify_theorem checks it on every
+    maximizer it reports, as part of theorem_match."""
+    least = {n: min(kernels.edge_profile(build_D(n).bitrows, n)[2]) for n in range(12, 61)}
     assert all(c5 > 0 for c5 in least.values()), least
+
+
+def _move_one_edge_c5(monkeypatch, target: Graph) -> list[list[int]]:
+    """Wrap kernels.edge_profile so that, on the rows of a graph isomorphic
+    to `target` only, the pentagons through the first edge are moved onto
+    the second: the graph's total stays, but its first edge then lies on no
+    pentagon.  Returns the list of the moved c5 lists, one per call moved."""
+    form = canonical_form(target)
+    profile = kernels.edge_profile
+    moved_profiles = []
+
+    def moved(rows, n):
+        t3, p3, c5 = profile(rows, n)
+        if n == target.n and canonical_form(Graph._from_rows(n, rows)) == form:
+            c5 = [0, c5[0] + c5[1], *c5[2:]]
+            moved_profiles.append(c5)
+        return t3, p3, c5
+
+    monkeypatch.setattr(kernels, "edge_profile", moved)
+    return moved_profiles
+
+
+def test_theorem_match_requires_every_maximizer_edge_on_a_pentagon(monkeypatch, capsys):
+    """A maximizer with an edge on no pentagon fails the certificate, though
+    its total, and so the maximum, stays; the same edit on a class below the
+    maximum changes nothing."""
+    below = next(e.graph for e in corpus(8) if kernels.cycle_counts(e.graph.bitrows, 8)[2] < 60)
+    with monkeypatch.context() as m:
+        hits = _move_one_edge_c5(m, below)
+        assert verify_theorem(8).theorem_match and hits
+    hits = _move_one_edge_c5(monkeypatch, build_D(8))
+    cert = verify_theorem(8)
+    assert hits
+    assert cert.max_c5 == 60 and sorted(e.family for e in cert.extremal) == ["A", "D"]
+    assert not cert.theorem_match
+    assert main(["verify", "--n", "8", "--workers", "1"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_certificate_json_schema():
