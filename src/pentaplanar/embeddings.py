@@ -342,32 +342,24 @@ def _embed_block(block_edges: list[tuple[int, int]]) -> dict[int, list[int]] | N
 
 
 def _find_cycle(adj: dict[int, int]) -> list[int]:
-    """Any cycle, via depth-first search (no cross edges in undirected DFS)."""
-    start = min(adj)
-    frames = [(start, -1, _bits(adj[start]))]
-    onpath = [start]
-    onset = {start}
-    visited = {start}
-    while frames:
-        v, parent, it = frames[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if w in onset:
-                return onpath[onpath.index(w) :]
-            if w not in visited:
-                visited.add(w)
-                frames.append((w, v, _bits(adj[w])))
-                onpath.append(w)
-                onset.add(w)
-                advanced = True
-                break
-        if not advanced:
-            frames.pop()
-            onpath.pop()
-            onset.discard(v)
-    raise AssertionError("biconnected block with >= 3 vertices must contain a cycle")
+    """A cycle of a biconnected block on >= 3 vertices: from the least
+    vertex, step to the least neighbour other than the one just left until
+    the walk meets itself.  Every vertex of the block has two neighbours
+    in it, so the walk never sticks."""
+    walk = [min(adj)]
+    at = {walk[0]: 0}
+    left = 0
+    while True:
+        v = walk[-1]
+        rest = adj[v] & ~left
+        if not rest:
+            raise AssertionError("biconnected block with >= 3 vertices must contain a cycle")
+        w = (rest & -rest).bit_length() - 1
+        if w in at:
+            return walk[at[w] :]
+        at[w] = len(walk)
+        walk.append(w)
+        left = 1 << v
 
 
 def _alpha_path(adj: dict[int, int], att: int, interior: int) -> list[int]:

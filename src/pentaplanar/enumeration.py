@@ -48,12 +48,13 @@ expanded, the least (v, i, j).  No class is lost either:
 Aut(P) is read off the parent's own code (`_automorphisms`): a relabeling
 walk of `embedding_min_code` that reproduces the code is an automorphism,
 and most parents have no other than the identity (970 of the 1 249 at
-n = 11, 6 756 of the 7 595 at n = 12).  A vertex that some automorphism
-maps to a smaller one is skipped whole; the splits of any other vertex v
-are compared with their images under the automorphisms that fix v
-(`_stabilisers`, `_least_in_orbit`).  Ties between equally small keys on
-edges of different orbits still keep several children of one class,
-which the code set merges.  The codes computed number 8 751 at n = 12
+n = 11, 6 756 of the 7 595 at n = 12), so they do no orbit work.  A
+vertex that some automorphism maps to a smaller one is skipped whole; a
+split of any other vertex v is compared with its image under each
+automorphism that fixes v, read off where it sends the two arc ends
+(`_candidate_splits`).  Ties between equally small keys on edges of
+different orbits still keep several children of one class, which the
+code set merges.  The codes computed number 8 751 at n = 12
 (7 595 classes and 1 156 such ties), 1 429 at n = 11 and 1 762 over
 levels 5..11; the filter without the orbit pruning computes 10 545, 2 128
 and 2 932, and f alone, without the apex degrees, 14 961, 2 860 and
@@ -74,7 +75,12 @@ deg v - g of them at once.  The threshold stays on f: the apexes of a far
 edge may lie in N(v), whose degrees the split changes, and a split whose f
 ties far(v) goes on to the exact check, which compares the apexes.  The
 surviving splits go to the exact check (`_new_edge_is_minimal`), so the
-threshold changes neither the kept splits nor the codes.
+threshold changes neither the kept splits nor the codes.  Far edges in a
+separating triangle must stay out of far(v), as they stay out of the
+exact check: two copies of the 25-vertex class above, joined by an
+antiprism between two faces, make a 50-vertex class whose edges of least
+f, (4, 6), are non-contractible, and one of them lies outside N[v] of
+both splits that rebuild the class, whose new edges have f (4, 7).
 
 A level is the sorted tuple of its classes' flat canonical codes (per
 vertex, its degree and then its neighbours in rotation order), each a
@@ -293,25 +299,24 @@ def _far_keys(
             for v, row in enumerate(rows)]
 
 
-def _automorphisms(
-    rotations: tuple[tuple[int, ...], ...], code: bytes
-) -> list[tuple[list[int], bool]]:
-    """The automorphisms of the rotation system a canonical code encodes,
-    as pairs (sigma, reversed): sigma[k] is the image of vertex k, and sigma
-    maps the rotation of k onto that of sigma[k], read backwards when
-    `reversed` is set.  They are the relabeling walks of
+def _automorphisms(rotations: tuple[tuple[int, ...], ...], code: bytes) -> list[list[int]]:
+    """The automorphisms other than the identity of the rotation system a
+    canonical code encodes, each as sigma, where sigma[k] is the image of
+    vertex k; sigma maps the rotation of k onto that of sigma[k], read
+    forwards or backwards.  They are the relabeling walks of
     `embedding_min_code`, from the start edges that its min-degree tail and
     head rule admits (tails of the degree of vertex 0, heads of that of
-    vertex 1), that reproduce the code; the walk's visiting order is
-    sigma.  Only a walk that matches every block is accepted.  A start is
-    walked only if the degrees around its tail, read from its head, are
-    those of vertex 0's neighbours 1..deg 0, as the code's second entries
-    need; the identity, start (0, 1) forwards, is not walked."""
+    vertex 1), in both directions, that reproduce the code; the walk's
+    visiting order is sigma.  Only a walk that matches every block is
+    accepted.  A start is walked only if the degrees around its tail, read
+    from its head, are those of vertex 0's neighbours 1..deg 0, as the
+    code's second entries need; the identity, start (0, 1) forwards, is
+    not walked."""
     target = list(code)
     degs = [len(r) for r in rotations]
     n, d0, d1 = len(rotations), degs[0], degs[1]
     ring = degs[1 : d0 + 1]
-    auts = [(list(range(n)), False)]
+    auts = []
     for u, rot_u in enumerate(rotations):
         if degs[u] != d0:
             continue
@@ -327,61 +332,44 @@ def _automorphisms(
                     continue
                 sigma = [u, v]
                 if _bfs_code(rotations, n, sigma, rev, target) is target:
-                    auts.append((sigma, rev))
+                    auts.append(sigma)
     return auts
-
-
-def _stabilisers(
-    rotations: tuple[tuple[int, ...], ...], auts: list[tuple[list[int], bool]]
-) -> list[list[tuple[int, bool]] | None]:
-    """Per vertex v: None when an automorphism maps v to a smaller vertex;
-    otherwise the position maps of the automorphisms that fix v and move its
-    rotation, each as (s, reversed), which sends position i of v's rotation
-    to s + i, or to s - i when reversed (mod deg v)."""
-    out: list[list[tuple[int, bool]] | None] = [[] for _ in rotations]
-    for sigma, rev in auts:
-        for v, image in enumerate(sigma):
-            maps = out[v]
-            if image < v:
-                out[v] = None
-            elif image == v and maps is not None:
-                rot_v = rotations[v]
-                s = rot_v.index(sigma[rot_v[0]])
-                if s or rev:
-                    maps.append((s, rev))
-    return out
-
-
-def _least_in_orbit(maps: list[tuple[int, bool]], d: int, i: int, j: int) -> bool:
-    """Whether no position map of v's stabiliser (`_stabilisers`) sends
-    the split of v at i < j to a smaller one."""
-    for s, rev in maps:
-        p, q = ((s - i) % d, (s - j) % d) if rev else ((s + i) % d, (s + j) % d)
-        if (p, q) < (i, j) if p < q else (q, p) < (i, j):
-            return False
-    return True
 
 
 def _candidate_splits(
     rotations: tuple[tuple[int, ...], ...],
     rows: list[int],
     degs: list[int],
-    stabilisers: list[list[tuple[int, bool]] | None] | None = None,
+    auts: list[list[int]],
 ) -> Iterator[tuple[int, int, int]]:
     """The splits (v, i, j) that no contractible edge outside N[v] rejects:
-    those whose new edge's f key is at most far(v) (`_far_keys`).  Given
-    the parent's `stabilisers`, only the least split of each orbit."""
+    those whose new edge's f key is at most far(v) (`_far_keys`), and of
+    these the least of each orbit of the parent's automorphisms other than
+    the identity, `auts` (`_automorphisms`).  A vertex that some sigma maps
+    to a smaller one is skipped whole, and a split of v when some sigma
+    that fixes v sends the arc ends rot_v[i] and rot_v[j] to positions
+    whose sorted pair is below (i, j)."""
     for v, far in enumerate(_far_keys(rotations, rows, degs)):
-        maps = [] if stabilisers is None else stabilisers[v]
-        if maps is None:
-            continue
-        d = degs[v]
-        for g in range(1, d):
-            lo, hi = (g + 2, d - g + 2) if 2 * g <= d else (d - g + 2, g + 2)
-            if lo << 8 | hi <= far:
-                for i in range(d - g):
-                    if not maps or _least_in_orbit(maps, d, i, i + g):
-                        yield v, i, i + g
+        # the position maps of v's rotation under the sigmas that fix v
+        rot_v, moves = rotations[v], []
+        for sigma in auts:
+            if sigma[v] < v:
+                break
+            if sigma[v] == v:
+                moves.append([rot_v.index(sigma[w]) for w in rot_v])
+        else:
+            d = degs[v]
+            for g in range(1, d):
+                lo, hi = (g + 2, d - g + 2) if 2 * g <= d else (d - g + 2, g + 2)
+                if lo << 8 | hi <= far:
+                    for i in range(d - g):
+                        j = i + g
+                        for pos in moves:
+                            p, q = pos[i], pos[j]
+                            if (p, q) < (i, j) if p < q else (q, p) < (i, j):
+                                break
+                        else:
+                            yield v, i, j
 
 
 def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
@@ -396,8 +384,8 @@ def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
         child_n = len(rotations) + 1
         degs = [len(r) for r in rotations]
         rows = _rows(rotations)
-        stabilisers = _stabilisers(rotations, _automorphisms(rotations, code))
-        for v, i, j in _candidate_splits(rotations, rows, degs, stabilisers):
+        auts = _automorphisms(rotations, code)
+        for v, i, j in _candidate_splits(rotations, rows, degs, auts):
             if _new_edge_is_minimal(rows, degs, v, rotations[v], i, j):
                 child = split_vertex(rotations, v, i, j)
                 codes.add(kernels.embedding_min_code(child, child_n))

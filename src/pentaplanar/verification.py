@@ -24,14 +24,14 @@ edges lists them, tests Lemma 1 and copies the path counts into a flat
 n x n table, and one walk over the darts fills the flat predecessor table
 of the rotations, from which it reads the facial triangles in face-tracing
 order (no face is traced or cached), each face's Lemma 3 count,
-and Remark 4's rotation gaps.  Lemma 1 looks at a common neighbourhood
-only when it has three or more vertices; with at most two it always holds
-(`_lemma1_note` gives the four cases).  `_path_forest_shape` then takes
-one degree pass and one flood from the forest's endpoints.  Each sweep
-records a graph in one `LemmaStats.add`: its item count, its slack range,
-and a note for each violated item alone, in item order, so the stats are
-those of one `LemmaStats.record` per item while no item that holds gets a
-note.
+and Remark 4's rotation gaps.  Lemma 1 is checked by its first clause
+alone, as every path forest satisfies the second by counting
+(`verify_lemma1`): `_is_path_forest`, one degree pass and one flood from
+the forest's endpoints, tests each common neighbourhood of three or more
+vertices (any graph on at most two is a path forest).  Each sweep records
+a graph in one `LemmaStats.add`: its item count, its slack range, and a
+note for each violated item alone, in item order, so the stats are those
+of one `LemmaStats.record` per item while no item that holds gets a note.
 
 Every public sweep is a loop over `_check`.  `_check_level` runs it over a
 whole level, for `verify_theorem` and for `verify --lemmas-only`, reading
@@ -246,10 +246,11 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
     remark4) its rotation system, into every sweep named in `stats`.
 
     `p3` is the graph's `paths3_per_edge` list, counted here when not
-    given.  One edge walk, in edge order (p3's), lists the edges, asks
-    `_lemma1_note` about each edge with three or more common neighbours,
-    and copies p3 into a flat n x n table, both orientations of each edge,
-    for Lemma 3; Lemma 2 takes its slack range off min(p3) and max(p3).
+    given.  One edge walk, in edge order (p3's), lists the edges, tests
+    each common neighbourhood of three or more vertices by
+    `_is_path_forest`, and copies p3 into a flat n x n table, both
+    orientations of each edge, for Lemma 3; Lemma 2 takes its slack range
+    off min(p3) and max(p3).
     One dart walk over the rotations, vertices descending, fills the flat
     table pred, where pred[v * n + w] is the neighbour before w around v.
     Each dart (v, w) with x = pred_v(w) is read when pred of every vertex
@@ -275,9 +276,10 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
             above ^= low
             v = low.bit_length() - 1
             edges.append((u, v))
-            if lemma1 and (ru & rows[v]).bit_count() > 2:
-                if note := _lemma1_note(rows, n, u, v):
-                    notes.append(note)
+            if lemma1:
+                common = ru & rows[v]
+                if common.bit_count() > 2 and not _is_path_forest(rows, common):
+                    notes.append(f"n={n} edge=({u},{v}): not a path forest")
             if paths is not None:
                 paths[u * n + v] = paths[v * n + u] = p3[k]
                 k += 1
@@ -327,26 +329,6 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
         remark4.add(len(rots), notes=gaps[::-1])
 
 
-def _lemma1_note(rows: tuple[int, ...], n: int, u: int, v: int) -> str | None:
-    """None when Lemma 1 holds at the edge uv, else the violation note.
-
-    `_check` asks only with three or more common neighbours; with at most
-    two it always holds: none, and the closed set is K2, neither a
-    triangulation nor a single path; one, K3, both; two adjacent ones, K4,
-    both; two non-adjacent ones, K4 minus an edge, neither."""
-    common = rows[u] & rows[v]
-    size = common.bit_count()
-    shape = _path_forest_shape(rows, common)
-    if shape is None:
-        return f"n={n} edge=({u},{v}): not a path forest"
-    f_edges, components = shape
-    single_path = components == 1
-    tri = f_edges + 2 * size + 1 == 3 * (size + 2) - 6
-    if tri == single_path:
-        return None
-    return f"n={n} edge=({u},{v}): triangulation={tri} single_path={single_path}"
-
-
 def _sweep(names: tuple[str, ...], items) -> dict[str, LemmaStats]:
     """The named sweeps over (graph, rotation system or None) pairs."""
     stats = {name: LemmaStats() for name in names}
@@ -359,46 +341,42 @@ def verify_lemma1(graphs) -> LemmaStats:
     """Common neighborhoods of edges in planar graphs are path forests, and
     the closed neighborhood triangulates iff the forest is one path.
 
-    Works on adjacency bitmasks and embeds nothing.  For an edge uv let F be
-    the subgraph induced on common = N(u) & N(v).  F is a path forest iff
-    every vertex has at most two neighbors inside common and F is acyclic,
-    i.e. |F| - e(F) equals its number of components.  Only then is the
-    closed set {u, v} + common examined; it induces the join K2 + F, with
-    k = |F| + 2 vertices and m = e(F) + 2|F| + 1 edges.  K2 + F is a
-    subgraph of K2 + P_|F|, which is planar, and it is connected, so it
-    is a triangulation iff k >= 3 and m = 3k - 6 (on a connected simple
-    planar graph with k >= 3 every face has length >= 3, and Euler's
-    formula makes 2m = 3f equivalent to m = 3k - 6).  That holds whether or
-    not the host graph is planar.
+    Works on adjacency bitmasks and embeds nothing, and checks the first
+    clause alone, as every path forest satisfies the second.  For an edge
+    uv let F be the subgraph induced on common = N(u) & N(v), with s
+    vertices and, when it is a path forest, c components, hence s - c
+    edges.  The closed set {u, v} + common induces the join K2 + F, with
+    k = s + 2 vertices and m = (s - c) + 2s + 1 edges, a connected
+    subgraph of the planar K2 + P_s.  Such a graph is a triangulation iff
+    k >= 3 and m = 3k - 6 (on a connected simple planar graph with k >= 3
+    every face has length >= 3, and Euler's formula makes 2m = 3f
+    equivalent to m = 3k - 6).  As 3k - 6 = 3s, that is iff c = 1 (s = 0
+    gives c = 0 and k = 2), that is iff F is one path, whether or not the
+    host graph is planar.
     """
     return _sweep(("lemma1",), ((g, None) for g in graphs))["lemma1"]
 
 
-def _path_forest_shape(rows: tuple[int, ...], mask: int) -> tuple[int, int] | None:
-    """(edges, components) of the subgraph induced on `mask`, or None when
-    it is not a path forest (a vertex of degree > 2, or a cycle).
+def _is_path_forest(rows: tuple[int, ...], mask: int) -> bool:
+    """Whether the subgraph induced on `mask` is a path forest (no vertex
+    of degree > 2, and no cycle).
 
     One degree pass finds the forest's endpoints, the vertices of degree
     at most 1; with every degree at most 2, each component is a path or a
     cycle, and a path holds an endpoint while a cycle holds none, so the
     graph is a path forest iff one flood from the endpoints reaches all of
-    `mask`.  Its components then number vertices minus edges.  The empty
-    mask is the empty forest, (0, 0)."""
-    degree_sum = ends = 0
+    `mask`.  The empty mask is the empty forest."""
+    ends = 0
     rest = mask
     while rest:
         low = rest & -rest
         rest ^= low
         d = (rows[low.bit_length() - 1] & mask).bit_count()
         if d > 2:
-            return None
+            return False
         if d < 2:
             ends |= low
-        degree_sum += d
-    if _flood(rows, ends, mask) != mask:
-        return None
-    edges = degree_sum // 2
-    return edges, mask.bit_count() - edges
+    return _flood(rows, ends, mask) == mask
 
 
 def verify_lemma2(graphs) -> LemmaStats:

@@ -6,10 +6,10 @@ DELETED = {
     canon: ("canonical_order",),
     graphs: ("complete_bipartite", "contract_edge", "degree"),
     embeddings: ("is_planar", "parse_rotations", "_bridges", "_insert_path"),
-    enumeration: ("canonical_code",),
+    enumeration: ("canonical_code", "_stabilisers", "_least_in_orbit"),
     families: ("FAMILY_NAMES",),
     kernels: ("backends", "compiled_available"),
-    verification: ("verify_lemmas_over", "_triangles"),
+    verification: ("verify_lemmas_over", "_triangles", "_lemma1_note", "_path_forest_shape"),
 }
 
 

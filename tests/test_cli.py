@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pentaplanar
+from pentaplanar import kernels
 from pentaplanar.cli import _parse_range, main
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import FAMILY_MAX_N
 from pentaplanar.graphs import GraphError, parse_graph6
+
+from .test_verification import _falling_cycle_counts
 
 
 def run(capsys, *argv):
@@ -32,6 +35,9 @@ def test_construct_count_flag(capsys):
     # verified count for the joined-apexes family (the oft-quoted 20 is wrong)
     code, out, _ = run(capsys, "construct", "--family", "en", "--n", "6", "--count")
     assert code == 0 and out.strip() == "18"
+    for k, c5 in enumerate((36, 60, 79, 80, 110, 144)):
+        code, out, _ = run(capsys, "construct", "--family", f"exc{k}", "--count")
+        assert code == 0 and out.strip() == str(c5), k
 
 
 def test_construct_graph_output(tmp_path, capsys):
@@ -298,6 +304,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--n", "6")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_monotonicity_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(kernels, "cycle_counts", _falling_cycle_counts)
+    code, out, _ = run(capsys, "verify", "--n", "5", "--workers", "1")
+    assert code == 1
+    assert out.splitlines()[-1] == "monotonicity: FAIL (2114 edge additions, seed=42)"
 
 
 def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys):

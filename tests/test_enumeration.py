@@ -297,9 +297,11 @@ def _assert_filter_matches_reference(rotations, calls):
     code = _code(rotations)
     rotations = _code_rotations(code)
     rows, degs = _rows_and_degs(rotations)
-    candidates = set(_candidate_splits(rotations, rows, degs))
+    candidates = set(_candidate_splits(rotations, rows, degs, []))
     auts = _reference_automorphisms(rotations)
-    assert {(tuple(sigma), rev) for sigma, rev in _automorphisms(rotations, code)} == auts
+    identity = tuple(range(len(rotations)))
+    assert {tuple(sigma) for sigma in _automorphisms(rotations, code)} == (
+        {sigma for sigma, _ in auts} - {identity})
     kept = []
     total = 0
     for v, i, j in _splits(rotations):
@@ -344,7 +346,7 @@ def test_threshold_skips_two_thirds_of_the_splits():
     total = candidates = 0
     for code in corpus_codes(11):
         rotations = _code_rotations(code)
-        candidates += sum(1 for _ in _candidate_splits(rotations, *_rows_and_degs(rotations)))
+        candidates += sum(1 for _ in _candidate_splits(rotations, *_rows_and_degs(rotations), []))
         total += sum(1 for _ in _splits(rotations))
     assert (total, candidates) == (150139, 46882)
 
@@ -416,16 +418,44 @@ def _icosahedron(label):
     return [(label[a], label[b]) for a, b in edges]
 
 
-def test_contractibility_is_needed_by_the_child_filter():
-    # Two icosahedra share only c; y sees the face (c, x2, r) of the first
-    # and the face (c, x4, r2) of the second, and u sees y, c, x2 and x4.
+def _witness_edges():
+    """The edges of the 25-vertex witness: two icosahedra share only
+    c = 0; y = 23 sees the face (c, x2, r) = (0, 1, 2) of the first and the
+    face (c, x4, r2) = (0, 12, 13) of the second, and u = 24 sees y, c, x2
+    and x4."""
     c, x2, r, y, u = 0, 1, 2, 23, 24
     second = [c, *range(12, 23)]
     x4, r2 = second[1], second[2]
     edges = _icosahedron(range(12)) + _icosahedron(second)
     edges += [(y, w) for w in (c, x2, r, r2, x4)]
-    parent = Graph(24, edges + [(x2, x4)])  # u-x2 contracted
-    witness = Graph(25, edges + [(u, w) for w in (y, c, x2, x4)])
+    return edges + [(u, w) for w in (y, c, x2, x4)]
+
+
+def _assert_rebuilding_splits_pass(parent, child):
+    """Both splits of the parent that rebuild the child's class pass the
+    threshold and the exact filter, and the reference filter agrees; the
+    splits are returned."""
+    rotations = planar_embed(parent).rotations
+    prows, pdegs = _rows_and_degs(rotations)
+    candidates = set(_candidate_splits(rotations, prows, pdegs, []))
+    form = canonical_form(child)
+    rebuilt = [(v, i, j) for v, i, j in _splits(rotations)
+               if canonical_form(_as_embedding(split_vertex(rotations, v, i, j)).graph) == form]
+    assert len(rebuilt) == 2
+    for v, i, j in rebuilt:
+        assert (v, i, j) in candidates
+        assert _new_edge_is_minimal(prows, pdegs, v, rotations[v], i, j)
+        assert _new_edge_is_minimal_reference(split_vertex(rotations, v, i, j), v)
+    return rebuilt
+
+
+def test_contractibility_is_needed_by_the_child_filter():
+    # Two icosahedra share only c; y sees the face (c, x2, r) of the first
+    # and the face (c, x4, r2) of the second, and u sees y, c, x2 and x4.
+    x2, y, u, x4 = 1, 23, 24, 12
+    edges = _witness_edges()
+    parent = Graph(24, [e for e in edges if u not in e] + [(x2, x4)])  # u-x2 contracted
+    witness = Graph(25, edges)
     rows = witness.bitrows
     deg = [row.bit_count() for row in rows]
     assert is_triangulation(planar_embed(witness))
@@ -437,17 +467,47 @@ def test_contractibility_is_needed_by_the_child_filter():
     assert min(f[e] for e in f if (rows[e[0]] & rows[e[1]]).bit_count() == 2) == (4, 7)
     # so a filter that also ranks non-contractible edges drops the class:
     # both splits of the parent that rebuild it must pass
-    rotations = planar_embed(parent).rotations
-    prows, pdegs = _rows_and_degs(rotations)
-    candidates = set(_candidate_splits(rotations, prows, pdegs))
-    form = canonical_form(witness)
-    rebuilt = [(v, i, j) for v, i, j in _splits(rotations)
-               if canonical_form(_as_embedding(split_vertex(rotations, v, i, j)).graph) == form]
-    assert len(rebuilt) == 2
-    for v, i, j in rebuilt:
-        assert (v, i, j) in candidates
-        assert _new_edge_is_minimal(prows, pdegs, v, rotations[v], i, j)
-        assert _new_edge_is_minimal_reference(split_vertex(rotations, v, i, j), v)
+    _assert_rebuilding_splits_pass(parent, witness)
+
+
+def test_contractibility_is_needed_by_the_threshold():
+    # In the witness above the small non-contractible edge u-y touches the
+    # split vertex, so it never counts towards far(v).  Two copies of the
+    # witness, on 0..24 and 25..49, joined by an antiprism between the
+    # faces (11, 6, 7) and (36, 31, 32) of their first icosahedra, put a
+    # second u-y edge far from the split.
+    one = _witness_edges()
+    edges = one + [(a + 25, b + 25) for a, b in one]
+    edges += [(11, 36), (6, 31), (7, 32), (11, 31), (6, 32), (7, 36)]
+    double = Graph(50, edges)
+    rows = double.bitrows
+    deg = [row.bit_count() for row in rows]
+    assert is_triangulation(planar_embed(double))
+    f = {(x, z): tuple(sorted((deg[x], deg[z]))) for x, z in double.edges()}
+    common = {e: rows[e[0]] & rows[e[1]] for e in f}
+    # the least f sits on the two u-y edges, each in a separating triangle;
+    # the least contractible f, (4, 7) with apexes of degrees 6 and 12, on
+    # u-x2 and u-x4 of each copy
+    assert [e for e in f if f[e] == (4, 6) == min(f.values())] == [(23, 24), (48, 49)]
+    assert common[23, 24].bit_count() == common[48, 49].bit_count() == 3
+    contractible = [e for e in f if common[e].bit_count() == 2]
+    assert min(f[e] for e in contractible) == (4, 7)
+    assert [e for e in contractible if f[e] == (4, 7)] == [(1, 24), (12, 24), (26, 49), (37, 49)]
+    assert {tuple(sorted(deg[w] for w in range(50) if common[e] >> w & 1))
+            for e in contractible if f[e] == (4, 7)} == {(6, 12)}
+    # contracting u-x2 of the first copy, (1, 24), gives the 49-vertex
+    # parent, where the second copy's u-y is (47, 48)
+    label = [1 if v == 24 else v - (v > 24) for v in range(50)]
+    parent = Graph(49, sorted({tuple(sorted((label[a], label[b]))) for a, b in edges
+                               if {a, b} != {1, 24}}))
+    rebuilt = _assert_rebuilding_splits_pass(parent, double)
+    # that edge lies outside N[v] of both splits, so a threshold that also
+    # ranked non-contractible edges would set far(v) to (4, 6), below the
+    # new edge's (4, 7), and drop both
+    prows = parent.bitrows
+    assert {v for v, _, _ in rebuilt} == {1, 12}
+    for v, _, _ in rebuilt:
+        assert not (prows[v] | 1 << v) & (1 << 47 | 1 << 48)
 
 
 @pytest.mark.parametrize("graph, order", [
@@ -459,15 +519,18 @@ def test_contractibility_is_needed_by_the_child_filter():
     (parse_graph6("H~[wwSN"), 1),  # the first n = 9 class with no symmetry
 ], ids=["K4", "octahedron", "icosahedron", "D_7", "D_8", "rigid_n9"])
 def test_automorphism_finder_gives_the_group(graph, order):
-    # the finder lists `order` distinct automorphisms, the reference's, and
-    # each maps every rotation onto its image's rotation, reversed when its
-    # relabeling ran backwards
+    # the finder lists the `order` - 1 distinct automorphisms other than
+    # the identity, the reference's, and each maps every rotation onto its
+    # image's rotation, reversed when the reference's relabeling ran
+    # backwards
     rotations = _code_rotations(_code(planar_embed(graph).rotations))
     auts = _automorphisms(rotations, _code(rotations))
-    found = {(tuple(sigma), rev) for sigma, rev in auts}
-    assert len(auts) == len(found) == order
-    assert found == _reference_automorphisms(rotations)
-    for sigma, rev in auts:
+    reversed_by = dict(_reference_automorphisms(rotations))
+    found = {tuple(sigma) for sigma in auts}
+    assert len(auts) == len(found) == order - 1
+    assert found == reversed_by.keys() - {tuple(range(len(rotations)))}
+    for sigma in auts:
+        rev = reversed_by[tuple(sigma)]
         assert sorted(sigma) == list(range(len(rotations)))
         for k, rot in enumerate(rotations):
             target = rotations[sigma[k]]

@@ -32,7 +32,7 @@ from pentaplanar.verification import (
     _check_level,
     _check_variant_chunk,
     _check_variants,
-    _path_forest_shape,
+    _is_path_forest,
     _sweep,
     edge_deleted_variants,
     expected_family_labels,
@@ -204,6 +204,20 @@ def test_monotonicity_small_run():
     assert payload["seed"] == 42 and payload["passed"]
 
 
+def _falling_cycle_counts(rows, n):
+    """A broken counter: minus the edge count as the pentagon count, so
+    that every added edge lowers it."""
+    return 0, 0, -sum(row.bit_count() for row in rows) // 2
+
+
+def test_monotonicity_reports_a_falling_count(monkeypatch):
+    monkeypatch.setattr(kernels, "cycle_counts", _falling_cycle_counts)
+    res = verify_monotonicity(samples=30, seed=42)
+    assert not res.passed and res.edges_tested == 297
+    assert len(res.counterexamples) == MAX_VIOLATION_EXAMPLES
+    assert res.counterexamples[0] == "n=10 base_m=14 add=(0,1)"
+
+
 def _edges_tested_reference(samples: int, seed: int) -> int:
     """The edge additions `verify_monotonicity` tests, found by embedding
     every added edge, with no planarity inherited from the triangulation."""
@@ -343,11 +357,11 @@ def _embedded(graphs) -> list[Embedding]:
     return [e for e in embs if isinstance(e, Embedding)]
 
 
-def test_path_forest_shape_matches_is_path_forest():
-    """`_path_forest_shape` gives (edges, paths) of the induced subgraph
-    exactly when `is_path_forest` accepts it, on seeded random graphs and
-    masks, the empty mask (the common neighbourhood of an edge with no
-    common neighbour), a pure cycle and a cycle beside a path."""
+def test_bitmask_path_forest_matches_is_path_forest():
+    """`_is_path_forest` accepts the induced subgraph exactly when
+    `is_path_forest` does, on seeded random graphs and masks, the empty
+    mask (the common neighbourhood of an edge with no common neighbour), a
+    pure cycle and a cycle beside a path."""
     rng = random.Random(47)
     cycle_and_path = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6)])
     cases = [(cycle_and_path, m) for m in (0, 0b1111, 0b1110000, 0b1111111, 0b111111111)]
@@ -359,10 +373,9 @@ def test_path_forest_shape_matches_is_path_forest():
     for g, mask in cases:
         sub, _ = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
         forest = is_path_forest(sub)
-        want = (sub.m, len(forest.paths)) if forest else None
-        assert _path_forest_shape(g.bitrows, mask) == want, (g.bitrows, mask)
+        assert _is_path_forest(g.bitrows, mask) == forest.ok, (g.bitrows, mask)
         cycles += not forest and max(sub.degree_sequence(), default=0) <= 2
-    assert _path_forest_shape(cycle_and_path.bitrows, 0) == (0, 0)
+    assert _is_path_forest(cycle_and_path.bitrows, 0)
     assert cycles > 0
 
 
@@ -421,8 +434,9 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Reference route for the per-class check: the per-item check it replaced,
-# one record per edge, face and vertex, every common neighbourhood flooded,
-# faces traced by `_triangles` and paths counted by the pure 3-path loop
+# one record per edge, face and vertex, every common neighbourhood walked
+# by `graphs.is_path_forest`, faces traced by `_triangles` and paths
+# counted by the pure 3-path loop
 # ---------------------------------------------------------------------------
 
 
@@ -443,21 +457,12 @@ def _triangles(rots) -> list[tuple[int, int, int]]:
 def _check_reference(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
     edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
     if "lemma1" in stats:
+        g = Graph._from_rows(n, rows)
         for u, v in edges:
-            common = rows[u] & rows[v]
-            shape = _path_forest_shape(rows, common)
-            if shape is None:
-                note = f"n={n} edge=({u},{v}): not a path forest"
-                stats["lemma1"].record(False, note=note)
-                continue
-            f_edges, components = shape
-            size = common.bit_count()
-            single_path = components == 1
-            k = size + 2
-            tri = k >= 3 and f_edges + 2 * size + 1 == 3 * k - 6
-            ok = tri == single_path
-            stats["lemma1"].record(ok, note=None if ok else f"n={n} edge=({u},{v}): "
-                                   f"triangulation={tri} single_path={single_path}")
+            sub, _ = induced_subgraph(g, _bits(rows[u] & rows[v]))
+            ok = is_path_forest(sub).ok
+            stats["lemma1"].record(ok, note=None if ok else
+                                   f"n={n} edge=({u},{v}): not a path forest")
     if "lemma2" in stats or "lemma3" in stats:
         paths = dict(zip(edges, kernels._purekern.paths3_per_edge(rows, n)))
     if "lemma2" in stats and n >= 3:
