@@ -1,8 +1,9 @@
 /* Compiled bit kernels for graphs with n <= 64.
 
    Same contracts and return values as `_purekern`, which documents the
-   shared conventions (edge order u < v, code layout).  The dispatcher in
-   `kernels` sends larger graphs to the pure backend.
+   shared conventions (edge order u < v, code layout).  Each kernel takes
+   the rows or the rotation system alone and reads n off its length; the
+   dispatcher in `kernels` sends larger graphs to the pure backend.
 
    Exports `edge_profile`, `paths3_per_edge` and `embedding_min_code`.
    The per-edge counts enumerate, over 64-bit adjacency rows, the paths
@@ -36,37 +37,16 @@ typedef uint64_t row_t;
 /* Bits strictly above u, shift-safe at u = 63. */
 static inline row_t above(int u) { return u >= 63 ? 0 : ~(row_t)0 << (u + 1); }
 
-/* Parse the arguments (obj, n) and check 0 <= n <= MAXN.  Returns n, or
-   -1 with an exception set. */
-static int parse_n(PyObject *const *args, Py_ssize_t nargs)
+/* Read the n adjacency rows of `rows`, n <= MAXN, each with bits below n
+   only.  Returns n, or -1 with an exception set. */
+static int load_rows(PyObject *rows, row_t *adj)
 {
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "expected 2 arguments, got %zd", nargs);
-        return -1;
-    }
-    Py_ssize_t n = PyLong_AsSsize_t(args[1]);
-    if (n == -1 && PyErr_Occurred())
-        return -1;
-    if (n < 0 || n > MAXN) {
-        PyErr_Format(PyExc_ValueError, "compiled kernel needs 0 <= n <= %d, got %zd",
-                     MAXN, n);
-        return -1;
-    }
-    return (int)n;
-}
-
-/* Parse the arguments (rows, n) and read the first n adjacency rows, each
-   with bits below n only.  Returns n, or -1 with an exception set. */
-static int load_rows(PyObject *const *args, Py_ssize_t nargs, row_t *adj)
-{
-    int n = parse_n(args, nargs);
-    if (n < 0)
-        return -1;
-    PyObject *seq = PySequence_Fast(args[0], "rows must be a sequence");
+    PyObject *seq = PySequence_Fast(rows, "rows must be a sequence");
     if (seq == NULL)
         return -1;
-    if (PySequence_Fast_GET_SIZE(seq) < n) {
-        PyErr_Format(PyExc_ValueError, "expected %d rows", n);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (n > MAXN) {
+        PyErr_Format(PyExc_ValueError, "compiled kernel needs n <= %d, got %zd", MAXN, n);
         goto fail;
     }
     for (int i = 0; i < n; i++) {
@@ -74,13 +54,13 @@ static int load_rows(PyObject *const *args, Py_ssize_t nargs, row_t *adj)
         if (r == (unsigned long long)-1 && PyErr_Occurred())
             goto fail;
         if (n < 64 && r >> n) {
-            PyErr_Format(PyExc_ValueError, "row %d has a bit at or above n = %d", i, n);
+            PyErr_Format(PyExc_ValueError, "row %d has a bit at or above n = %zd", i, n);
             goto fail;
         }
         adj[i] = r;
     }
     Py_DECREF(seq);
-    return n;
+    return (int)n;
 fail:
     Py_DECREF(seq);
     return -1;
@@ -131,12 +111,11 @@ static PyObject *to_list(const long *values, int m)
     return out;
 }
 
-static PyObject *edge_profile(PyObject *Py_UNUSED(self), PyObject *const *args,
-                              Py_ssize_t nargs)
+static PyObject *edge_profile(PyObject *Py_UNUSED(self), PyObject *rows)
 {
     row_t adj[MAXN];
     long t3[MAXM], p3[MAXM], c5[MAXM];
-    int n = load_rows(args, nargs, adj);
+    int n = load_rows(rows, adj);
     if (n < 0)
         return NULL;
     int m = edge_counts(adj, n, t3, p3, c5);
@@ -146,12 +125,11 @@ static PyObject *edge_profile(PyObject *Py_UNUSED(self), PyObject *const *args,
     return Py_BuildValue("(NNN)", t3s, p3s, c5s);
 }
 
-static PyObject *paths3_per_edge(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                 Py_ssize_t nargs)
+static PyObject *paths3_per_edge(PyObject *Py_UNUSED(self), PyObject *rows)
 {
     row_t adj[MAXN];
     long p3[MAXM];
-    int n = load_rows(args, nargs, adj);
+    int n = load_rows(rows, adj);
     if (n < 0)
         return NULL;
     return to_list(p3, edge_counts(adj, n, NULL, p3, NULL));
@@ -165,13 +143,16 @@ typedef struct {
     int *cur, *best; /* best is NULL until the first complete code */
 } rotsys;
 
-static int load_rot(PyObject *rot, int n, rotsys *r)
+/* Flatten the n rotations of `rot`, n <= MAXN, into r.  Returns n, or -1
+   with an exception set. */
+static int load_rot(PyObject *rot, rotsys *r)
 {
     PyObject *seq = PySequence_Fast(rot, "rotation system must be a sequence");
     if (seq == NULL)
         return -1;
-    if (PySequence_Fast_GET_SIZE(seq) != n) {
-        PyErr_Format(PyExc_ValueError, "expected %d rotations", n);
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    if (n > MAXN) {
+        PyErr_Format(PyExc_ValueError, "compiled kernel needs n <= %d, got %zd", MAXN, n);
         goto fail;
     }
     int total = 0;
@@ -203,9 +184,9 @@ static int load_rot(PyObject *rot, int n, rotsys *r)
         }
         Py_DECREF(rx);
     }
-    r->n = n;
+    r->n = (int)n;
     Py_DECREF(seq);
-    return 0;
+    return (int)n;
 fail:
     Py_DECREF(seq);
     return -1;
@@ -270,20 +251,19 @@ static int bfs_code(rotsys *r, int su, int sv, int rev)
  * and Embedding produce.  Symmetry is checked only along completed codes, so
  * a damaged system can get a code instead of ValueError; a full check would
  * cost every child of the enumeration. */
-static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *const *args,
-                                    Py_ssize_t nargs)
+static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *rot)
 {
     PyObject *out;
-    int n = parse_n(args, nargs);
-    if (n < 0)
-        return NULL;
-    if (n <= 1)
-        return PyBytes_FromStringAndSize("", n); /* b"" or b"\x00" */
     rotsys *r = PyMem_Malloc(sizeof(rotsys));
     if (r == NULL)
         return PyErr_NoMemory();
-    if (load_rot(args[0], n, r) < 0)
+    int n = load_rot(rot, r);
+    if (n < 0)
         goto fail;
+    if (n <= 1) {
+        PyMem_Free(r);
+        return PyBytes_FromStringAndSize("", n); /* b"" or b"\x00" */
+    }
     int dmin = r->deg[0], dsv = MAXFLAT + 1;
     for (int u = 1; u < n; u++)
         dmin = r->deg[u] < dmin ? r->deg[u] : dmin;
@@ -334,13 +314,13 @@ fail:
 }
 
 static PyMethodDef methods[] = {
-    {"edge_profile", (PyCFunction)(void (*)(void))edge_profile, METH_FASTCALL,
-     "edge_profile(rows, n): three lists, per edge in edge order: the 3-, 4-\n"
+    {"edge_profile", edge_profile, METH_O,
+     "edge_profile(rows): three lists, per edge in edge order: the 3-, 4-\n"
      "and 5-cycles through it."},
-    {"paths3_per_edge", (PyCFunction)(void (*)(void))paths3_per_edge, METH_FASTCALL,
-     "paths3_per_edge(rows, n): the paths u-x-y-v of every edge, in edge order."},
-    {"embedding_min_code", (PyCFunction)(void (*)(void))embedding_min_code, METH_FASTCALL,
-     "embedding_min_code(rot, n): canonical flat code of a connected simple\n"
+    {"paths3_per_edge", paths3_per_edge, METH_O,
+     "paths3_per_edge(rows): the paths u-x-y-v of every edge, in edge order."},
+    {"embedding_min_code", embedding_min_code, METH_O,
+     "embedding_min_code(rot): canonical flat code of a connected simple\n"
      "rotation system, as bytes (see _purekern.embedding_min_code)."},
     {NULL, NULL, 0, NULL},
 };

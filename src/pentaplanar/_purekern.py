@@ -56,9 +56,7 @@ def _codegree_planes(rows: tuple[int, ...], nbrs: list[list[int]]) -> list[list[
     return out
 
 
-def edge_profile(
-    rows: tuple[int, ...], n: int
-) -> tuple[list[int], list[int], list[int]]:
+def edge_profile(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """Per edge, in edge order: the 3-, 4- and 5-cycles through it (t3, p3,
     c5), all from one `_codegree_planes` pass.  t3(uv) = |N(u) & N(v)|,
     and a 4-cycle through uv is a path u-x-y-v on four distinct vertices.
@@ -149,7 +147,7 @@ def edge_profile(
     return t3, p3, c5
 
 
-def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
+def paths3_between(rows: tuple[int, ...], u: int, v: int) -> int:
     """Number of paths u-x-y-v on four distinct vertices."""
     rv = rows[v] & ~(1 << u)
     xs = rows[u] & ~(1 << v)
@@ -161,13 +159,12 @@ def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
     return total
 
 
-def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
+def paths3_per_edge(rows: tuple[int, ...]) -> list[int]:
     """paths3_between for every edge, in edge order.  For a caller that
     needs no pentagon count this loop is as cheap as the closed form of
     `edge_profile`, and skips its c5 plane products."""
     out = []
-    for u in range(n):
-        ru = rows[u]
+    for u, ru in enumerate(rows):
         vs = ru >> (u + 1) << (u + 1)
         while vs:
             low_v = vs & -vs
@@ -183,7 +180,7 @@ def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
+def embedding_min_code(rot: tuple[tuple[int, ...], ...]) -> bytes:
     """Canonical flat code of a connected simple rotation system, as
     `bytes`: one byte per entry, so n <= 256 (every degree and label is
     then at most 255); a larger n raises ValueError.
@@ -208,6 +205,7 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
     code instead of a ValueError; a full check would cost every child of the
     enumeration.
     """
+    n = len(rot)
     if n > 256:
         raise ValueError(f"embedding code needs n <= 256, got {n}")
     if n == 0:
@@ -225,7 +223,7 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
         if degs[v] != dsv:
             continue
         for rev in (False, True):
-            code = _bfs_code(rot, n, [u, v], rev, best)
+            code = _bfs_code(rot, [u, v], rev, best)
             if code is not None:
                 best = code
     return bytes(best)
@@ -233,7 +231,6 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
 
 def _bfs_code(
     rot: tuple[tuple[int, ...], ...],
-    n: int,
     order: list[int],
     rev: bool,
     best: list[int] | None,
@@ -243,6 +240,7 @@ def _bfs_code(
     label k.  Returns None as soon as the code is certain to be larger than
     `best`, and `best` itself when the code equals it."""
     su, sv = order
+    n = len(rot)
     lab = [-1] * n
     lab[su], lab[sv] = 0, 1
     entry = [0] * n

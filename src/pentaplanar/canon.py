@@ -64,7 +64,7 @@ from .graphs import Graph, _graph6, _mask
 def canonical_form(g: Graph) -> str:
     """graph6 string of the canonically relabeled graph, encoded from the
     winning leaf's code, which is that graph's adjacency rows."""
-    return _graph6(g.n, _canonical_leaf(g)[0])
+    return _graph6(_canonical_leaf(g)[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

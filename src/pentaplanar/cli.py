@@ -243,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             cert = verify_theorem(n, workers=args.workers, include_lemmas=True)
             rep = cert.to_json_dict()
-            bad = sum(v.violations for v in (cert.lemmas or {}).values())
+            bad = sum(v.violations for v in cert.lemmas.values())
             failed |= (not cert.theorem_match) or bad > 0
             if not args.json:
                 fams = ",".join(e.family for e in cert.extremal)

@@ -48,14 +48,14 @@ def count_cycles(g: Graph, k: int) -> int:
     """Number of unlabeled k-cycle subgraphs, k in {3, 4, 5}."""
     if k not in (3, 4, 5):
         raise GraphError(f"cycle length must be 3, 4 or 5, got {k}")
-    return kernels.cycle_counts(g.bitrows, g.n)[k - 3]
+    return kernels.cycle_counts(g.bitrows)[k - 3]
 
 
 def cycle_report(g: Graph) -> CycleCountReport:
     """Cycle counts for k = 3, 4, 5 plus the per-vertex and per-edge C5
     tallies, all from one `edge_profile` pass."""
     edges = g.edges()
-    profile = kernels.edge_profile(g.bitrows, g.n)
+    profile = kernels.edge_profile(g.bitrows)
     c3, c4, c5 = kernels.cycle_totals(profile)
     per_edge = profile[2]
     vertex_tally = [0] * g.n
@@ -107,7 +107,7 @@ def count_paths3(g: Graph, u: int, v: int) -> int:
         raise GraphError(f"count_paths3 requires distinct endpoints, got {u} twice")
     g._check_vertex(u)
     g._check_vertex(v)
-    return kernels.paths3_between(g.bitrows, g.n, u, v)
+    return kernels.paths3_between(g.bitrows, u, v)
 
 
 def _triangle_vertices(g: Graph, t: Iterable[int]) -> tuple[int, int, int]:

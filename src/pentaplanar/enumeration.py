@@ -181,7 +181,7 @@ def _rows(rotations: tuple[tuple[int, ...], ...]) -> list[int]:
 def code_to_embedding(code: bytes) -> Embedding:
     """Rebuild the canonically labeled embedding encoded by a flat code."""
     rotations = _code_rotations(code)
-    return Embedding(Graph._from_rows(len(rotations), _rows(rotations)), rotations)
+    return Embedding(Graph._from_rows(_rows(rotations)), rotations)
 
 
 def split_vertex(
@@ -314,7 +314,7 @@ def _automorphisms(rotations: tuple[tuple[int, ...], ...], code: bytes) -> list[
     not walked."""
     target = list(code)
     degs = [len(r) for r in rotations]
-    n, d0, d1 = len(rotations), degs[0], degs[1]
+    d0, d1 = degs[0], degs[1]
     ring = degs[1 : d0 + 1]
     auts = []
     for u, rot_u in enumerate(rotations):
@@ -331,7 +331,7 @@ def _automorphisms(rotations: tuple[tuple[int, ...], ...], code: bytes) -> list[
                 elif around[pos:] + around[:pos] != ring or u == pos == 0:
                     continue
                 sigma = [u, v]
-                if _bfs_code(rotations, n, sigma, rev, target) is target:
+                if _bfs_code(rotations, sigma, rev, target) is target:
                     auts.append(sigma)
     return auts
 
@@ -381,14 +381,13 @@ def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
     codes: set[bytes] = set()
     for code in batch:
         rotations = _code_rotations(code)
-        child_n = len(rotations) + 1
         degs = [len(r) for r in rotations]
         rows = _rows(rotations)
         auts = _automorphisms(rotations, code)
         for v, i, j in _candidate_splits(rotations, rows, degs, auts):
             if _new_edge_is_minimal(rows, degs, v, rotations[v], i, j):
                 child = split_vertex(rotations, v, i, j)
-                codes.add(kernels.embedding_min_code(child, child_n))
+                codes.add(kernels.embedding_min_code(child))
     return codes
 
 
@@ -447,7 +446,7 @@ def corpus_codes(n: int, workers: int = 1) -> tuple[bytes, ...]:
     if not (MIN_N <= n <= MAX_N):
         raise GraphError(f"triangulation enumeration supports {MIN_N} <= n <= {MAX_N}")
     if not _LEVELS:
-        _LEVELS[MIN_N] = (kernels.embedding_min_code(_K4_ROTATIONS, MIN_N),)
+        _LEVELS[MIN_N] = (kernels.embedding_min_code(_K4_ROTATIONS),)
     top = max(_LEVELS)
     for size, level in enumerate(_grow(_LEVELS[top], n, workers), top + 1):
         _LEVELS[size] = level

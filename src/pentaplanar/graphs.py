@@ -13,10 +13,10 @@ Masks are walked inline, lowest bit first (`mask & -mask`), with no
 generator per row or per step: `Graph` lists each row's neighbour tuple in
 one such walk, and `_flood` grows its frontier the same way.  Rows given
 as masks (`Graph._from_rows`, behind `parse_graph6` and the enumeration's
-code decoder) get one pass for the row count, the range and loops, and
-then have their symmetry checked inside the neighbour walk, so the first
-pair that breaks it, rows in order and lowest neighbour first, is the one
-reported.
+code decoder) fix n as their number; they get one pass for the range and
+loops, and then have their symmetry checked inside the neighbour walk, so
+the first pair that breaks it, rows in order and lowest neighbour first,
+is the one reported.
 """
 
 from __future__ import annotations
@@ -50,12 +50,11 @@ class Graph:
         self._set_rows(rows)
 
     @classmethod
-    def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
-        """The graph on 0..n-1 with adjacency bit rows `rows`, checked on the
-        masks: one row per vertex, each within 0..n-1, with no loop, and
-        symmetric (checked in the walk that lists the neighbours)."""
-        if len(rows) != n:
-            raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
+    def _from_rows(cls, rows: Sequence[int]) -> "Graph":
+        """The graph on 0..n-1 with the n adjacency bit rows `rows`, checked
+        on the masks: each row within 0..n-1, with no loop, and symmetric
+        (checked in the walk that lists the neighbours)."""
+        n = len(rows)
         for v, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise GraphError(f"row {v} has a neighbour out of range for n={n}")
@@ -111,10 +110,11 @@ class Graph:
             raise GraphError(f"vertex {v} out of range for n={self.n}")
 
     def relabel(self, perm: dict[int, int] | list[int]) -> "Graph":
-        """New graph with vertex v renamed to perm[v]; perm must be a bijection."""
+        """New graph with vertex v renamed to perm[v]; perm must be a bijection
+        of the ints 0..n-1, else GraphError."""
         if isinstance(perm, dict):
-            perm = [perm[v] for v in range(self.n)]
-        if sorted(perm) != list(range(self.n)):
+            perm = [perm.get(v) for v in range(self.n)]
+        if not all(type(p) is int for p in perm) or sorted(perm) != list(range(self.n)):
             raise GraphError("relabeling is not a permutation of 0..n-1")
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
 
@@ -264,13 +264,14 @@ GRAPH6_HEADER = ">>graph6<<"
 
 def to_graph6(g: Graph) -> str:
     """Encode as graph6: 6-bit chunks of the column-major upper triangle."""
-    return _graph6(g.n, g.bitrows)
+    return _graph6(g.bitrows)
 
 
-def _graph6(n: int, rows: Sequence[int]) -> str:
-    """graph6 of the graph on 0..n-1 with adjacency bit rows `rows`: column v
-    is bits 0..v-1 of rows[v], least vertex first, so edge uv with u < v is
-    bit v(v-1)/2 + u of the body (`_graph6_text`)."""
+def _graph6(rows: Sequence[int]) -> str:
+    """graph6 of the graph on 0..n-1 with the n adjacency bit rows `rows`:
+    column v is bits 0..v-1 of rows[v], least vertex first, so edge uv with
+    u < v is bit v(v-1)/2 + u of the body (`_graph6_text`)."""
+    n = len(rows)
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
     base = 0
     for v in range(1, n):
@@ -335,7 +336,7 @@ def parse_graph6(text: str) -> Graph:
             low = column & -column
             rows[low.bit_length() - 1] |= bit_v
             column ^= low
-    return Graph._from_rows(n, rows)
+    return Graph._from_rows(rows)
 
 
 # largest n the 4-byte graph6 size prefix can state; also the edge-list cap

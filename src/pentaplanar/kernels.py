@@ -8,6 +8,8 @@ exercise both sides.  The backend is chosen once, when this module is
 imported, and every kernel follows the same rule.  Both backends export
 `edge_profile`, `paths3_per_edge` and `embedding_min_code`;
 `paths3_between` checks a single vertex pair and always runs pure.
+Every kernel reads n off what it is given: the number of adjacency rows,
+or of rotations in a rotation system.
 
 `edge_profile` gives, per edge, the 3-, 4- and 5-cycles through it.  A
 k-cycle has k edges, so `cycle_totals` turns the profile into totals by
@@ -38,9 +40,9 @@ def _pick(n: int):
     return _purekern if _fast is None or n > _FAST_MAX_N else _fast
 
 
-def cycle_counts(rows: tuple[int, ...], n: int) -> tuple[int, int, int]:
+def cycle_counts(rows: tuple[int, ...]) -> tuple[int, int, int]:
     """The numbers of 3-, 4- and 5-cycles."""
-    return cycle_totals(edge_profile(rows, n))
+    return cycle_totals(edge_profile(rows))
 
 
 def cycle_totals(profile: tuple[list[int], list[int], list[int]]) -> tuple[int, int, int]:
@@ -49,25 +51,25 @@ def cycle_totals(profile: tuple[list[int], list[int], list[int]]) -> tuple[int, 
     return sum(t3) // 3, sum(p3) // 4, sum(c5) // 5
 
 
-def edge_profile(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int], list[int]]:
+def edge_profile(rows: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
     """(t3, p3, c5): per edge, in edge order, the 3-, 4- and 5-cycles
     through it."""
-    return _pick(n).edge_profile(rows, n)
+    return _pick(len(rows)).edge_profile(rows)
 
 
-def c5_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    return edge_profile(rows, n)[2]
+def c5_per_edge(rows: tuple[int, ...]) -> list[int]:
+    return edge_profile(rows)[2]
 
 
-def paths3_per_edge(rows: tuple[int, ...], n: int) -> list[int]:
-    return _pick(n).paths3_per_edge(rows, n)
+def paths3_per_edge(rows: tuple[int, ...]) -> list[int]:
+    return _pick(len(rows)).paths3_per_edge(rows)
 
 
-def paths3_between(rows: tuple[int, ...], n: int, u: int, v: int) -> int:
-    return _purekern.paths3_between(rows, n, u, v)
+def paths3_between(rows: tuple[int, ...], u: int, v: int) -> int:
+    return _purekern.paths3_between(rows, u, v)
 
 
-def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
+def embedding_min_code(rot: tuple[tuple[int, ...], ...]) -> bytes:
     """Canonical flat code of `rot` as `bytes`, one byte per degree or
     label, so n <= 256 (see `_purekern.embedding_min_code`).
 
@@ -77,4 +79,4 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...], n: int) -> bytes:
     enumeration calls this for every kept child, so a damaged system can
     get a code instead of a ValueError.
     """
-    return _pick(n).embedding_min_code(rot, n)
+    return _pick(len(rot)).embedding_min_code(rot)

@@ -154,9 +154,10 @@ def verify_theorem(
 
     theorem_match requires: the maximum over all n-vertex triangulations
     equals the proven value, the maximizers are exactly the expected
-    families, every other class counts strictly fewer pentagons, and every
-    edge of every maximizer lies on a pentagon (the uniqueness premise of
-    the module docstring).
+    families, and every edge of every maximizer lies on a pentagon (the
+    uniqueness premise of the module docstring).  The family comparison
+    decides uniqueness among triangulations; `second_best`, the greatest
+    count other than the maximum, lies below it by its definition.
     """
     if not (5 <= n <= MAX_N):
         raise ValueError(f"verify_theorem supports 5 <= n <= {MAX_N}, got {n}")
@@ -179,8 +180,7 @@ def verify_theorem(
     match = (
         max_c5 == expected_max_c5(n)
         and labels == tuple(sorted(expected_family_labels(n)))
-        and (second is None or second < max_c5)
-        and all(min(kernels.edge_profile(g.bitrows, n)[2]) > 0 for g in maximizers)
+        and all(min(kernels.edge_profile(g.bitrows)[2]) > 0 for g in maximizers)
     )
     return VerificationCertificate(
         n=n,
@@ -200,12 +200,12 @@ def _check_level(
     """Check every class of level n: the pentagon count per class when
     `count` is set (else none), and the named sweeps over the level."""
     codes = corpus_codes(n, workers=workers)
-    check = partial(_check_chunk, n=n, names=names, count=count)
+    check = partial(_check_chunk, names=names, count=count)
     return _fold(check, codes, len(codes), workers)
 
 
 def _check_chunk(
-    chunk, n: int, names: tuple[str, ...], count: bool
+    chunk, names: tuple[str, ...], count: bool
 ) -> tuple[list[int], dict[str, LemmaStats]]:
     """Pentagon count per class of a chunk of codes (if asked), and the
     named sweeps, each read off the class's rotation system.  With the
@@ -218,10 +218,10 @@ def _check_chunk(
         rows = tuple(_rows(rots))
         p3 = None
         if count:
-            profile = kernels.edge_profile(rows, n)
+            profile = kernels.edge_profile(rows)
             p3 = profile[1]
             counts.append(kernels.cycle_totals(profile)[2])
-        _check(stats, n, rows, rots, p3)
+        _check(stats, rows, rots, p3)
     return counts, stats
 
 
@@ -241,7 +241,7 @@ def _fold(check, items, size: int, workers: int) -> tuple[list[int], dict[str, L
 # ---------------------------------------------------------------------------
 
 
-def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> None:
+def _check(stats: dict[str, LemmaStats], rows, rots=None, p3=None) -> None:
     """Record one graph, given by its adjacency rows and (for lemma3 and
     remark4) its rotation system, into every sweep named in `stats`.
 
@@ -261,10 +261,11 @@ def _check(stats: dict[str, LemmaStats], n: int, rows, rots=None, p3=None) -> No
     items get a note, put back in item order (vertices ascending)."""
     # None for each sweep that `stats` does not name
     lemma1, lemma2, lemma3, remark4 = map(stats.get, _LEMMAS)
+    n = len(rows)
     if n < 4:
         lemma3 = None
     if p3 is None and (lemma2 or lemma3):
-        p3 = kernels.paths3_per_edge(rows, n)
+        p3 = kernels.paths3_per_edge(rows)
     edges, notes = [], []
     paths = [0] * (n * n) if lemma3 else None
     k = 0
@@ -333,7 +334,7 @@ def _sweep(names: tuple[str, ...], items) -> dict[str, LemmaStats]:
     """The named sweeps over (graph, rotation system or None) pairs."""
     stats = {name: LemmaStats() for name in names}
     for g, rots in items:
-        _check(stats, g.n, g.bitrows, rots)
+        _check(stats, g.bitrows, rots)
     return stats
 
 
@@ -484,7 +485,7 @@ def verify_monotonicity(
         keep = [e for e in tri.graph.edges() if rng.random() > 0.25]
         base = Graph(n, keep)
         rows = base.bitrows
-        base_c5 = kernels.cycle_counts(rows, n)[2]
+        base_c5 = kernels.cycle_counts(rows)[2]
         cofacial = [0] * n
         for face in Embedding(base, [[w for w in rot if rows[v] >> w & 1]
                                      for v, rot in enumerate(tri.rotations)]).faces:
@@ -504,7 +505,7 @@ def verify_monotonicity(
                 grown = list(rows)
                 grown[u] |= 1 << v
                 grown[v] |= 1 << u
-                if kernels.cycle_counts(tuple(grown), n)[2] < base_c5:
+                if kernels.cycle_counts(tuple(grown))[2] < base_c5:
                     result.passed = False
                     if len(result.counterexamples) < MAX_VIOLATION_EXAMPLES:
                         result.counterexamples.append(

@@ -105,9 +105,9 @@ def test_split_vertex_always_yields_triangulations():
 
 def test_code_roundtrip():
     for emb in corpus(7):
-        code = kernels.embedding_min_code(emb.rotations, 7)
+        code = kernels.embedding_min_code(emb.rotations)
         back = code_to_embedding(code)
-        assert kernels.embedding_min_code(back.rotations, 7) == code
+        assert kernels.embedding_min_code(back.rotations) == code
         assert canonical_form(back.graph) == canonical_form(emb.graph)
 
 
@@ -132,7 +132,7 @@ def test_determinism_across_runs_and_workers(monkeypatch, pool_rounds):
 
     base = codes(corpus_codes(9), 10, 1)
     assert codes(corpus_codes(9), 10, 1) == base
-    assert base == [tuple(kernels.embedding_min_code(e.rotations, 10) for e in corpus(10))]
+    assert base == [tuple(kernels.embedding_min_code(e.rotations) for e in corpus(10))]
     serial = codes(corpus_codes(4), 10, 1)
     assert pool_rounds == []
     # levels this small reach a pool, over several rounds, only with
@@ -187,7 +187,7 @@ def _expand_batch_unfiltered(batch):
     for rotations in batch:
         for v, i, j in _splits(rotations):
             child = split_vertex(rotations, v, i, j)
-            codes.add(kernels.embedding_min_code(child, len(child)))
+            codes.add(kernels.embedding_min_code(child))
     return codes
 
 
@@ -227,7 +227,7 @@ def min_code_calls(monkeypatch):
     for n in range(4, 12):
         corpus_codes(n)  # fill the level cache before the kernel is replaced
     calls = []
-    monkeypatch.setattr(kernels, "embedding_min_code", lambda rot, n: calls.append(rot) or rot)
+    monkeypatch.setattr(kernels, "embedding_min_code", lambda rot: calls.append(rot) or rot)
     return calls
 
 
@@ -284,7 +284,7 @@ def _split_image(sigma, rotations, v, i, j):
 
 
 def _code(rotations):
-    return _purekern.embedding_min_code(rotations, len(rotations))
+    return _purekern.embedding_min_code(rotations)
 
 
 def _assert_filter_matches_reference(rotations, calls):
@@ -632,4 +632,4 @@ def test_bytes_order_is_the_order_of_int_tuples(n):
 @pytest.mark.parametrize("n", range(4, 11))
 def test_corpus_decodes_the_cached_codes_in_order(n):
     embs = corpus(n)
-    assert [kernels.embedding_min_code(e.rotations, n) for e in embs] == list(corpus_codes(n))
+    assert [kernels.embedding_min_code(e.rotations) for e in embs] == list(corpus_codes(n))

@@ -24,6 +24,11 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError):
         Graph(-1, [])
+    # a relabeling that misses a vertex, names a non-vertex or has the wrong
+    # length
+    for perm in ({0: 1, 1: 0}, {0: 1, 1: 0, 2: "x"}, [0, 1, 2.0], [1, 0]):
+        with pytest.raises(GraphError):
+            complete_graph(3).relabel(perm)
 
 
 def test_degenerate_graphs_are_legal():

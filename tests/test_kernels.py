@@ -42,15 +42,15 @@ def _families(max_n):
 
 
 def _assert_cycle_counts_parity(g):
-    rows, n = g.bitrows, g.n
+    rows = g.bitrows
     totals = kernels.cycle_totals
-    assert totals(pure.edge_profile(rows, n)) == totals(fast().edge_profile(rows, n))
+    assert totals(pure.edge_profile(rows)) == totals(fast().edge_profile(rows))
 
 
 def _assert_per_edge_parity(g):
-    rows, n = g.bitrows, g.n
-    assert pure.edge_profile(rows, n) == fast().edge_profile(rows, n)
-    assert pure.paths3_per_edge(rows, n) == fast().paths3_per_edge(rows, n)
+    rows = g.bitrows
+    assert pure.edge_profile(rows) == fast().edge_profile(rows)
+    assert pure.paths3_per_edge(rows) == fast().paths3_per_edge(rows)
 
 
 @needs_compiled
@@ -86,9 +86,9 @@ def test_large_graphs_fall_back_to_pure(g):
     # the dispatcher must route n > 64 to the pure backend transparently
     big = 70
     rows = tuple(list(g.bitrows) + [0] * (big - g.n))
-    profile = pure.edge_profile(rows, big)
-    assert kernels.edge_profile(rows, big) == profile
-    assert kernels.cycle_counts(rows, big) == kernels.cycle_totals(profile)
+    profile = pure.edge_profile(rows)
+    assert kernels.edge_profile(rows) == profile
+    assert kernels.cycle_counts(rows) == kernels.cycle_totals(profile)
 
 
 @needs_compiled
@@ -96,7 +96,7 @@ def test_embedding_code_parity_on_corpus():
     for n in (4, 5, 6, 7, 8):
         for emb in corpus(n):
             rot = emb.rotations
-            assert pure.embedding_min_code(rot, n) == fast().embedding_min_code(rot, n)
+            assert pure.embedding_min_code(rot) == fast().embedding_min_code(rot)
 
 
 @needs_compiled
@@ -105,12 +105,12 @@ def test_embedding_code_requires_connected():
     for rot in (((), ()), ((1,), (0,), (3,), (2,)), ((1,), (2,), (0,))):
         for mod in (pure, fast()):
             with pytest.raises(ValueError):
-                mod.embedding_min_code(rot, len(rot))
+                mod.embedding_min_code(rot)
 
 
 def _min_code_or_error(mod, rot):
     try:
-        return mod.embedding_min_code(rot, len(rot))
+        return mod.embedding_min_code(rot)
     except ValueError:
         return ValueError
 
@@ -201,7 +201,7 @@ def test_min_code_equals_full_minimum_on_every_child():
     for rot in children:
         want = bytes(_full_min_code(rot, len(rot)))
         for mod in built:
-            assert mod.embedding_min_code(rot, len(rot)) == want
+            assert mod.embedding_min_code(rot) == want
 
 
 def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
@@ -214,18 +214,18 @@ def test_min_code_equals_full_minimum_on_relabelings_and_reflections():
         for v, r in enumerate(rot):
             relabeled[perm[v]] = tuple(perm[w] for w in r)
         mirrored = tuple(r[::-1] for r in relabeled)
-        code = pure.embedding_min_code(rot, n)
+        code = pure.embedding_min_code(rot)
         for variant in (tuple(relabeled), mirrored):
             assert bytes(_full_min_code(variant, n)) == code
             for mod in built:
-                assert mod.embedding_min_code(variant, n) == code
+                assert mod.embedding_min_code(variant) == code
 
 
 def test_min_code_requires_connected():
     with pytest.raises(ValueError):
-        pure.embedding_min_code(((), ()), 2)
+        pure.embedding_min_code(((), ()))
     with pytest.raises(ValueError):
-        pure.embedding_min_code(((1,), (0,), (3,), (2,)), 4)
+        pure.embedding_min_code(((1,), (0,), (3,), (2,)))
 
 
 @needs_compiled
@@ -234,10 +234,17 @@ def test_min_code_is_bytes_and_equal_on_every_backend():
     rots += [e.rotations for n in range(4, 10) for e in corpus(n)]
     rots += [planar_embed(g).rotations for g in _families(64)]
     for rot in rots:
-        codes = [mod.embedding_min_code(rot, len(rot)) for mod in built]
+        codes = [mod.embedding_min_code(rot) for mod in built]
         assert all(type(code) is bytes for code in codes), rot
         assert codes[0] == codes[1], rot
-    assert [fast().embedding_min_code(((),) * n, n) for n in (0, 1)] == [b"", b"\x00"]
+
+
+def test_min_code_of_no_vertex_and_of_one():
+    # the returns before any start edge, on the dispatcher and on every
+    # built backend
+    for mod in [kernels, *built]:
+        assert mod.embedding_min_code(()) == b""
+        assert mod.embedding_min_code(((),)) == b"\x00"
 
 
 def _cycle(n):
@@ -248,13 +255,13 @@ def test_min_code_takes_at_most_256_vertices():
     # one byte per entry: at n = 256 the largest label is 255, and above it
     # the pure kernel (which the dispatcher uses for n > 64) raises rather
     # than return a code with wrapped entries
-    code = kernels.embedding_min_code(_cycle(256), 256)
+    code = kernels.embedding_min_code(_cycle(256))
     assert max(code) == 255 and code == bytes(_full_min_code(_cycle(256), 256))
     for n in (257, 300):
         with pytest.raises(ValueError):
-            pure.embedding_min_code(_cycle(n), n)
+            pure.embedding_min_code(_cycle(n))
         with pytest.raises(ValueError):
-            kernels.embedding_min_code(_cycle(n), n)
+            kernels.embedding_min_code(_cycle(n))
 
 
 # The pure edge_profile counts in closed form; these are the loops it and
@@ -309,12 +316,12 @@ def _assert_closed_forms(g):
     rows, n = g.bitrows, g.n
     # the pure paths3_per_edge keeps the 3-path loop
     t3 = [(rows[u] & rows[v]).bit_count() for u, v in g.edges()]
-    c5, p3 = _c5_per_edge_reference(rows, n), pure.paths3_per_edge(rows, n)
-    assert pure.edge_profile(rows, n) == (t3, p3, c5), g.edges()
+    c5, p3 = _c5_per_edge_reference(rows, n), pure.paths3_per_edge(rows)
+    assert pure.edge_profile(rows) == (t3, p3, c5), g.edges()
     # the dispatcher; graphs with n > 64 take the pure fallback
-    assert kernels.edge_profile(rows, n) == (t3, p3, c5), g.edges()
-    assert kernels.cycle_counts(rows, n) == _cycle_counts_reference(rows, n), g.edges()
-    assert kernels.c5_per_edge(rows, n) == c5, g.edges()
+    assert kernels.edge_profile(rows) == (t3, p3, c5), g.edges()
+    assert kernels.cycle_counts(rows) == _cycle_counts_reference(rows, n), g.edges()
+    assert kernels.c5_per_edge(rows) == c5, g.edges()
 
 
 def test_closed_forms_match_loop_on_corpus():

@@ -70,11 +70,17 @@ def test_verify_theorem_small(n, max_c5, families):
         assert cert.second_best < cert.max_c5
 
 
+@pytest.mark.parametrize("n", [4, 15])
+def test_verify_theorem_rejects_n_outside_its_range(n):
+    with pytest.raises(ValueError, match="5 <= n <= 14"):
+        verify_theorem(n)
+
+
 def test_every_edge_of_every_maximizer_lies_on_a_pentagon():
     """The uniqueness premise, beyond verify's range: the least per-edge c5
     is positive on D_n for n = 12..60.  verify_theorem checks it on every
     maximizer it reports, as part of theorem_match."""
-    least = {n: min(kernels.edge_profile(build_D(n).bitrows, n)[2]) for n in range(12, 61)}
+    least = {n: min(kernels.edge_profile(build_D(n).bitrows)[2]) for n in range(12, 61)}
     assert all(c5 > 0 for c5 in least.values()), least
 
 
@@ -87,9 +93,9 @@ def _move_one_edge_c5(monkeypatch, target: Graph) -> list[list[int]]:
     profile = kernels.edge_profile
     moved_profiles = []
 
-    def moved(rows, n):
-        t3, p3, c5 = profile(rows, n)
-        if n == target.n and canonical_form(Graph._from_rows(n, rows)) == form:
+    def moved(rows):
+        t3, p3, c5 = profile(rows)
+        if len(rows) == target.n and canonical_form(Graph._from_rows(rows)) == form:
             c5 = [0, c5[0] + c5[1], *c5[2:]]
             moved_profiles.append(c5)
         return t3, p3, c5
@@ -102,7 +108,7 @@ def test_theorem_match_requires_every_maximizer_edge_on_a_pentagon(monkeypatch, 
     """A maximizer with an edge on no pentagon fails the certificate, though
     its total, and so the maximum, stays; the same edit on a class below the
     maximum changes nothing."""
-    below = next(e.graph for e in corpus(8) if kernels.cycle_counts(e.graph.bitrows, 8)[2] < 60)
+    below = next(e.graph for e in corpus(8) if kernels.cycle_counts(e.graph.bitrows)[2] < 60)
     with monkeypatch.context() as m:
         hits = _move_one_edge_c5(m, below)
         assert verify_theorem(8).theorem_match and hits
@@ -204,7 +210,7 @@ def test_monotonicity_small_run():
     assert payload["seed"] == 42 and payload["passed"]
 
 
-def _falling_cycle_counts(rows, n):
+def _falling_cycle_counts(rows):
     """A broken counter: minus the edge count as the pentagon count, so
     that every added edge lowers it."""
     return 0, 0, -sum(row.bit_count() for row in rows) // 2
@@ -420,9 +426,9 @@ def test_lemmas_over_share_one_path_pass(monkeypatch):
     calls = []
     real = kernels.paths3_per_edge
 
-    def counted(rows, n):
-        calls.append(n)
-        return real(rows, n)
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
 
     monkeypatch.setattr(kernels, "paths3_per_edge", counted)
     shared = _sweep(_LEMMAS, ((e.graph, e.rotations) for e in embs))
@@ -457,14 +463,14 @@ def _triangles(rots) -> list[tuple[int, int, int]]:
 def _check_reference(stats: dict[str, LemmaStats], n: int, rows, rots=None) -> None:
     edges = [(u, v) for u in range(n) for v in _bits(rows[u] >> u + 1 << u + 1)]
     if "lemma1" in stats:
-        g = Graph._from_rows(n, rows)
+        g = Graph._from_rows(rows)
         for u, v in edges:
             sub, _ = induced_subgraph(g, _bits(rows[u] & rows[v]))
             ok = is_path_forest(sub).ok
             stats["lemma1"].record(ok, note=None if ok else
                                    f"n={n} edge=({u},{v}): not a path forest")
     if "lemma2" in stats or "lemma3" in stats:
-        paths = dict(zip(edges, kernels._purekern.paths3_per_edge(rows, n)))
+        paths = dict(zip(edges, kernels._purekern.paths3_per_edge(rows)))
     if "lemma2" in stats and n >= 3:
         bound = 2 * (n - 3)
         for (u, v), cnt in paths.items():
@@ -508,12 +514,12 @@ def test_level_check_matches_per_item_reference():
     per class)."""
     for n in range(5, 11):
         codes = corpus_codes(n)
-        counts, stats = _check_chunk(codes, n, _ALL, True)
-        no_counts, lemmas_only = _check_chunk(codes, n, _ALL, False)
+        counts, stats = _check_chunk(codes, _ALL, True)
+        no_counts, lemmas_only = _check_chunk(codes, _ALL, False)
         items = []
         for code in codes:
             rots = _code_rotations(code)
-            items.append((Graph._from_rows(n, _rows(rots)), rots))
+            items.append((Graph._from_rows(_rows(rots)), rots))
         reference = _reference_json(_ALL, items)
         assert _as_json(stats) == reference, n
         assert _as_json(lemmas_only) == reference and no_counts == [], n
