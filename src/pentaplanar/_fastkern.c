@@ -1,8 +1,10 @@
 /* Compiled bit kernels for graphs with n <= 64.
 
-   Same contracts and return values as `_purekern`, which documents the
-   shared conventions (edge order u < v, code layout).  Each kernel takes
-   the rows or the rotation system alone and reads n off its length; the
+   The input contract, the same for every backend, is stated in `kernels`;
+   `_purekern` documents the shared conventions (edge order u < v, code
+   layout).  The range checks in `load_rows` and `load_rot` keep this
+   file's memory accesses in bounds and are not part of the contract.  Each
+   kernel reads n off the length of its rows or rotation system; the
    dispatcher in `kernels` sends larger graphs to the pure backend.
 
    Exports `edge_profile`, `paths3_per_edge` and `embedding_min_code`.
@@ -37,18 +39,28 @@ typedef uint64_t row_t;
 /* Bits strictly above u, shift-safe at u = 63. */
 static inline row_t above(int u) { return u >= 63 ? 0 : ~(row_t)0 << (u + 1); }
 
+/* `obj` as a fast sequence of *n <= MAXN items; NULL with an error set. */
+static PyObject *load_seq(PyObject *obj, const char *what, Py_ssize_t *n)
+{
+    PyObject *seq = PySequence_Fast(obj, what);
+    if (seq == NULL)
+        return NULL;
+    *n = PySequence_Fast_GET_SIZE(seq);
+    if (*n > MAXN) {
+        PyErr_Format(PyExc_ValueError, "compiled kernel needs n <= %d, got %zd", MAXN, *n);
+        Py_CLEAR(seq);
+    }
+    return seq;
+}
+
 /* Read the n adjacency rows of `rows`, n <= MAXN, each with bits below n
    only.  Returns n, or -1 with an exception set. */
 static int load_rows(PyObject *rows, row_t *adj)
 {
-    PyObject *seq = PySequence_Fast(rows, "rows must be a sequence");
+    Py_ssize_t n;
+    PyObject *seq = load_seq(rows, "rows must be a sequence", &n);
     if (seq == NULL)
         return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (n > MAXN) {
-        PyErr_Format(PyExc_ValueError, "compiled kernel needs n <= %d, got %zd", MAXN, n);
-        goto fail;
-    }
     for (int i = 0; i < n; i++) {
         unsigned long long r = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(seq, i));
         if (r == (unsigned long long)-1 && PyErr_Occurred())
@@ -147,14 +159,10 @@ typedef struct {
    with an exception set. */
 static int load_rot(PyObject *rot, rotsys *r)
 {
-    PyObject *seq = PySequence_Fast(rot, "rotation system must be a sequence");
+    Py_ssize_t n;
+    PyObject *seq = load_seq(rot, "rotation system must be a sequence", &n);
     if (seq == NULL)
         return -1;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (n > MAXN) {
-        PyErr_Format(PyExc_ValueError, "compiled kernel needs n <= %d, got %zd", MAXN, n);
-        goto fail;
-    }
     int total = 0;
     for (int x = 0; x < n; x++) {
         PyObject *rx = PySequence_Fast(PySequence_Fast_GET_ITEM(seq, x),
@@ -245,12 +253,7 @@ static int bfs_code(rotsys *r, int su, int sv, int rev)
 }
 
 /* Returns the code as bytes, one byte per degree or label, like the pure
- * kernel; n <= MAXN keeps every entry below 256.
- *
- * Precondition: rot is a valid, symmetric rotation system, as split_vertex
- * and Embedding produce.  Symmetry is checked only along completed codes, so
- * a damaged system can get a code instead of ValueError; a full check would
- * cost every child of the enumeration. */
+   kernel; n <= MAXN keeps every entry below 256. */
 static PyObject *embedding_min_code(PyObject *Py_UNUSED(self), PyObject *rot)
 {
     PyObject *out;

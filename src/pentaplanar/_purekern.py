@@ -22,8 +22,8 @@ codegrees (`_codegree_planes`; see `edge_profile` for the derivations),
 which costs a few popcounts per edge instead of one per (a, c) pair.
 `paths3_per_edge` and `paths3_between` keep the loop, walking each row's
 bits inline as `edge_profile` does: their one level of nesting is already
-cheap.  Both backends compute `embedding_min_code` by the same algorithm,
-and raise ValueError on the same inputs.
+cheap.  Both backends compute `embedding_min_code` by the same algorithm.
+The input contract they share is stated in `kernels`.
 """
 
 from __future__ import annotations
@@ -198,12 +198,6 @@ def embedding_min_code(rot: tuple[tuple[int, ...], ...]) -> bytes:
       * each code is compared with the running best block by block while
         it is built, and abandoned as soon as it is larger (early abort).
         A code that ties the best leaves it as it is.
-
-    Precondition: `rot` is a valid, symmetric rotation system, as
-    `enumeration.split_vertex` and `Embedding` produce.  Symmetry is checked
-    only along the codes that are completed, so a damaged system can get a
-    code instead of a ValueError; a full check would cost every child of the
-    enumeration.
     """
     n = len(rot)
     if n > 256:

@@ -17,7 +17,6 @@ from .counting import (
     count_cycles,
     count_cycles_bruteforce,
     cycle_report,
-    SCHEMA_VERSION,
 )
 from .enumeration import (
     MAX_N,
@@ -26,7 +25,7 @@ from .enumeration import (
     _certificate,
 )
 from .families import FAMILY_MAX_N, expand, expected_c5, spec_from_name
-from .graphs import Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
+from .graphs import SCHEMA_VERSION, Graph, GraphError, parse_graph_text, to_edge_list_text, to_graph6
 from .verification import (
     _LEMMAS,
     _check_level,

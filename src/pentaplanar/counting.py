@@ -20,9 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from . import kernels
-from .graphs import Graph, GraphError
-
-SCHEMA_VERSION = 1
+from .graphs import SCHEMA_VERSION, Graph, GraphError
 
 
 @dataclass(frozen=True)

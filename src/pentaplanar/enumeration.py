@@ -121,9 +121,7 @@ from typing import Iterable, Iterator
 from . import kernels
 from ._purekern import _bfs_code
 from .embeddings import Embedding
-from .graphs import Graph, GraphError, _graph6_text
-
-SCHEMA_VERSION = 1
+from .graphs import SCHEMA_VERSION, Graph, GraphError, _graph6_text
 
 MIN_N = 4
 MAX_N = 14          # hard cap: desk scale

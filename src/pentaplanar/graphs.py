@@ -24,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+# the "schema_version" of every JSON payload the package writes
+SCHEMA_VERSION = 1
+
 
 class GraphError(ValueError):
     """Raised on contract violations: bad vertices, non-edges, malformed input."""

@@ -3,13 +3,24 @@
 The compiled extension `_fastkern` (hand-written C) is used when it was
 built and the graph fits in 64-bit rows (n <= 64); otherwise the
 pure-Python twin `_purekern` takes over.  Setting PENTAPLANAR_KERNEL=pure
-forces the fallback, which is how the benchmark and the parity tests
-exercise both sides.  The backend is chosen once, when this module is
-imported, and every kernel follows the same rule.  Both backends export
-`edge_profile`, `paths3_per_edge` and `embedding_min_code`;
+forces the fallback, which is how the benchmark and CI's pure/compiled
+output diffs exercise both sides.  The backend is chosen once, when this
+module is imported, and every kernel follows the same rule.  Both backends
+export `edge_profile`, `paths3_per_edge` and `embedding_min_code`;
 `paths3_between` checks a single vertex pair and always runs pure.
-Every kernel reads n off what it is given: the number of adjacency rows,
-or of rotations in a rotation system.
+
+Precondition, the one input contract of every kernel on every backend:
+valid input, off which each kernel reads n (the number of adjacency rows,
+or of rotations).  Rows are valid when symmetric, loop-free and with every
+bit below n, as `Graph` builds them; a rotation system is valid when w is
+in v's rotation exactly when v is in w's, as `enumeration.split_vertex` and
+`Embedding` produce it.  On valid input every backend returns equal values.
+`embedding_min_code` raises ValueError in three cases: a disconnected
+system; a walk that enters a vertex whose rotation lacks the vertex it came
+from; and n above the backend's limit, 64 compiled and 256 pure (the
+dispatcher sends n > 64 to pure).  Anything else is unspecified: no kernel
+validates its input on the hot path, where enumeration calls
+`embedding_min_code` for every kept child.
 
 `edge_profile` gives, per edge, the 3-, 4- and 5-cycles through it.  A
 k-cycle has k edges, so `cycle_totals` turns the profile into totals by
@@ -71,12 +82,5 @@ def paths3_between(rows: tuple[int, ...], u: int, v: int) -> int:
 
 def embedding_min_code(rot: tuple[tuple[int, ...], ...]) -> bytes:
     """Canonical flat code of `rot` as `bytes`, one byte per degree or
-    label, so n <= 256 (see `_purekern.embedding_min_code`).
-
-    Precondition: `rot` is a valid, symmetric rotation system, as
-    `enumeration.split_vertex` and `Embedding` produce: w is in v's rotation
-    exactly when v is in w's.  Neither backend checks it in full, since
-    enumeration calls this for every kept child, so a damaged system can
-    get a code instead of a ValueError.
-    """
+    label, so n <= 256 (see `_purekern.embedding_min_code`)."""
     return _pick(len(rot)).embedding_min_code(rot)

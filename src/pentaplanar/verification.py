@@ -58,9 +58,7 @@ from .counting import g_formula
 from .embeddings import Embedding, _is_connected, planar_embed
 from .enumeration import MAX_N, _code_rotations, _fan_out, _rows, code_to_embedding, corpus_codes
 from .families import FamilySpec, expand, expected_c5
-from .graphs import Graph, _flood
-
-SCHEMA_VERSION = 1
+from .graphs import SCHEMA_VERSION, Graph, _flood
 
 MAX_VIOLATION_EXAMPLES = 5
 

@@ -1,7 +1,9 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -535,6 +537,21 @@ def test_automorphism_finder_gives_the_group(graph, order):
         for k, rot in enumerate(rotations):
             target = rotations[sigma[k]]
             assert _same_cycle([sigma[w] for w in rot], target[::-1] if rev else target)
+
+
+def test_tutte_census():
+    # Tutte: the rooted triangulations on n vertices number
+    # 2(4k + 1)!/((k + 1)!(3k + 2)!), k = n - 3.  A rooting is one of the
+    # 4m = 12n - 24 flags, on which Aut(T), reflections included, acts
+    # freely, so the sum of 4m/|Aut(T)| over the classes is that number: a
+    # lost or extra class, or a wrong group order, moves it.  CI runs the
+    # same sum at n = 13 and 14
+    for n in range(4, 13):
+        k = n - 3
+        rooted = 2 * factorial(4 * k + 1) // (factorial(k + 1) * factorial(3 * k + 2))
+        total = sum(Fraction(12 * n - 24, 1 + len(_automorphisms(_code_rotations(code), code)))
+                    for code in corpus_codes(n))
+        assert total == rooted, n
 
 
 @pytest.mark.parametrize("n", range(4, 11))
