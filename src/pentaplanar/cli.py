@@ -122,7 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_workers() -> int:
-    return min(os.cpu_count() or 1, MAX_WORKERS)
+    """The number of CPUs this process may run on, at most MAX_WORKERS;
+    the machine's CPU count where the OS cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
 def _write(text: str, out: str | None) -> None:

@@ -16,8 +16,8 @@ share code with the production path.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
-from typing import Iterable
 
 from . import kernels
 from .graphs import SCHEMA_VERSION, Graph, GraphError

@@ -38,9 +38,9 @@ An Embedding traces its facial walks once, on first use, for both
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
 
 from .graphs import Graph, _bits, _flood, _mask
 

@@ -111,12 +111,10 @@ shares none of this module's machinery.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 from itertools import islice
-from typing import Iterable, Iterator
 
 from . import kernels
 from ._purekern import _bfs_code
@@ -391,7 +389,9 @@ def _expand_batch(batch: Iterable[bytes]) -> set[bytes]:
 
 # Items per worker: a pool opens above _POOL_MIN, since one class takes
 # about half a millisecond to check or expand and a pool of two about
-# 30 ms to start and feed; each pool round holds at most _ROUND.
+# 30 ms to start and feed, and the first pool of a run 15-20 ms more to
+# import the pool code (2 vCPUs, Python 3.11); each pool round holds at
+# most _ROUND.
 _POOL_MIN = 100
 _ROUND = 1024
 
@@ -405,10 +405,14 @@ def _fan_out(fn, items, size: int, workers: int) -> Iterator:
     contiguous chunks of near-equal size, as the cost per item of a sorted
     level is uneven.  Each round is sent before the one ahead of it is
     read, so no worker waits for the slowest chunk of a round, and at most
-    two rounds are held."""
+    two rounds are held.  The executor is imported by the first pool a run
+    opens."""
     if workers == 1 or size <= _POOL_MIN * workers:
         yield fn(items)
         return
+    # imported here, so a run that opens no pool loads no pool code
+    from concurrent.futures import ProcessPoolExecutor
+
     items = iter(items)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # results of the rounds sent and not yet read; the empty first
@@ -493,6 +497,9 @@ def _code_graph6(n: int, code: bytes) -> str:
 
 
 def _digest(lines: Iterable[str]) -> str:
+    # imported here, as only `enumerate` takes a digest
+    import hashlib
+
     h = hashlib.sha256()
     for line in lines:
         h.update(line.encode("ascii"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .counting import g_formula
 from .graphs import Graph, GraphError, parse_graph6
@@ -179,5 +178,8 @@ def expected_c5(spec: FamilySpec) -> int:
 
 def golden_catalog() -> list[dict]:
     """The shipped golden catalog: family, n, graph6, expected_c5 records."""
+    # imported here, as no command reads the catalog
+    from importlib import resources
+
     text = resources.files("pentaplanar").joinpath("data/golden_catalog.json").read_text()
     return json.loads(text)

@@ -21,8 +21,8 @@ is the one reported.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 # the "schema_version" of every JSON payload the package writes
 SCHEMA_VERSION = 1

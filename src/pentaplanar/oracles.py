@@ -19,8 +19,8 @@ None of them imports `enumeration` or the kernel backends, and
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from itertools import combinations
-from typing import Iterable
 
 from .canon import canonical_form
 from .counting import count_cycles

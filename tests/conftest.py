@@ -1,9 +1,8 @@
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 
 import pytest
 from hypothesis import strategies as st
 
-from pentaplanar import enumeration
 from pentaplanar.graphs import Graph
 
 
@@ -13,7 +12,7 @@ def pool_rounds(monkeypatch):
     its rounds, each round the sizes of the chunks it sent."""
     made = []
 
-    class CountedPool(ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append([])
             super().__init__(*args, **kwargs)
@@ -22,7 +21,8 @@ def pool_rounds(monkeypatch):
             made[-1].append([len(chunk) for chunk in chunks])
             return super().map(fn, chunks)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", CountedPool)
+    # the name `_fan_out` imports when it opens a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return made
 
 

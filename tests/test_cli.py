@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pentaplanar
 from pentaplanar import kernels
-from pentaplanar.cli import _parse_range, main
+from pentaplanar.cli import _default_workers, _parse_range, main
 from pentaplanar.enumeration import corpus
 from pentaplanar.families import FAMILY_MAX_N
 from pentaplanar.graphs import GraphError, parse_graph6
@@ -79,6 +79,21 @@ def test_worker_and_variant_counts_are_usage_errors(capsys):
                  ("verify", "--n", "12", "--variants", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("error:") and out == "", argv
+
+
+def test_default_workers_counts_the_cpus_this_process_may_use(monkeypatch):
+    # not the machine's count: under `taskset -c 0` one CPU is usable
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for cpus, workers in ((1, 1), (100, 64)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        assert _default_workers() == workers, cpus
+
+
+def test_default_workers_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, workers in ((3, 3), (None, 1), (100, 64)):
+        monkeypatch.setattr(os, "cpu_count", lambda count=count: count)
+        assert _default_workers() == workers, count
 
 
 def test_count_command(tmp_path, capsys):
@@ -355,6 +370,73 @@ def test_closed_stdout_exits_1_without_an_error_line():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+# Run by a fresh interpreter: prints, as JSON, the modules of FOOTPRINT_WATCHED
+# that each stage loaded first, with what the last two stages returned
+FOOTPRINT_CHILD = """
+import sys
+# dataclasses imports inspect, which imports typing on some Pythons (3.13.13)
+import inspect
+
+watched = sys.argv[1:]
+seen = set(sys.modules)
+
+
+def loaded():
+    new = [name for name in watched if name in sys.modules and name not in seen]
+    seen.update(sys.modules)
+    return new
+
+
+import contextlib
+import io
+
+import pentaplanar
+from pentaplanar import cli, enumeration, families
+from pentaplanar.canon import canonical_form
+from pentaplanar.counting import cycle_report
+from pentaplanar.embeddings import planar_embed
+from pentaplanar.graphs import parse_graph6, to_graph6
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--n", "5..8", "--workers", "1", "--json"])
+g = parse_graph6(to_graph6(families.build_D(20)))
+cycle_report(g)
+planar_embed(g)
+canonical_form(g)
+report = {"code": code, "serial": loaded()}
+enumeration.enumerate_triangulations(6)
+report["digest"] = loaded()
+report["catalog"] = len(families.golden_catalog())
+report["catalog_modules"] = loaded()
+enumeration._POOL_MIN = 1
+report["chunks"] = list(enumeration._fan_out(tuple, range(8), 8, 2))
+report["pool"] = loaded()
+
+import json
+print(json.dumps(report))
+"""
+FOOTPRINT_WATCHED = ("concurrent.futures", "multiprocessing", "hashlib", "importlib.resources", "typing")
+
+
+def test_a_serial_run_loads_no_pool_digest_catalog_or_typing_code():
+    """A run that opens no pool, takes no digest and reads no catalog loads
+    none of their modules, nor typing; each loads at its first use."""
+    src = str(Path(pentaplanar.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FOOTPRINT_CHILD, *FOOTPRINT_WATCHED],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0 and report["serial"] == []
+    # a stage may also load what the stdlib module it needs imports
+    assert "hashlib" in report["digest"]
+    assert report["catalog"] == len(json.loads((Path(src) / "pentaplanar/data/golden_catalog.json").read_text()))
+    assert "importlib.resources" in report["catalog_modules"]
+    assert report["chunks"] == [[i] for i in range(8)]
+    assert {"concurrent.futures", "multiprocessing"} <= set(report["pool"])
 
 
 @settings(max_examples=300, deadline=None)
